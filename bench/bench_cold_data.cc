@@ -225,7 +225,7 @@ void Run() {
   for (int op : kOps) {
     // Cold: drop all materialized partitions (and cached summaries).
     for (auto& w : workers) w->EvictCaches();
-    root.cache().Clear();
+    deployment.shared_cache().Clear();
     auto m = workload::RunHillviewOperation(&sheet, op);
     std::printf("%-5s %-52s %10.3f\n", workload::OperationName(op),
                 workload::OperationDescription(op), m.ok ? m.seconds : -1);

@@ -8,8 +8,9 @@
 //   rpc-drop   — one worker's first summary is dropped in transit; the
 //                per-RPC deadline + retry layer heals below the query level
 //   muted      — one worker is muted for good: the first query burns its
-//                retry budget, trips the circuit breaker and degrades; the
-//                steady state fast-fails into coverage-marked results
+//                per-RPC retry budget and degrades, the second trips the
+//                circuit breaker; the steady state fast-fails into
+//                coverage-marked results
 //
 // plus a probabilistic drop-rate sweep showing queries keep healing to full
 // coverage at 5/10/20% per-message loss. All medians; METRIC lines feed the
@@ -60,7 +61,7 @@ struct Deployment {
   std::shared_ptr<RootSession> root;
 
   static std::unique_ptr<Deployment> Create() {
-    RootSession::Options options;
+    cluster::Cluster::Options options;
     options.aggregation.aggregation_window_ms = 0;
     options.rpc.deadline_ms = 10000;
     options.rpc.max_retries = 4;
@@ -123,7 +124,7 @@ void Run() {
   std::printf("%u rows, %d partitions over %d workers, %d runs/scenario\n\n",
               TotalRows(), kPartitions, kWorkers, kRuns);
   std::printf("%-22s %12s %10s %16s\n", "scenario", "median(ms)", "coverage",
-              "heals/retries");
+              "replay_heals");
 
   // Baseline: fault-free.
   auto d = Deployment::Create();
@@ -164,8 +165,10 @@ void Run() {
               stats.coverage, "-");
 
   // Graceful degradation: one worker muted for good, on a fresh deployment
-  // (the breaker above is clean there). The first query trips the breaker;
-  // steady-state queries fast-fail into degraded coverage.
+  // (the breaker above is clean there). The first query spends the worker's
+  // RPC budget twice (its first attempt and its degraded pass); the second
+  // trips the breaker, after which queries fast-fail or probe into degraded
+  // coverage.
   auto dd = Deployment::Create();
   if (dd == nullptr) std::exit(1);
   FaultPlan mute;
@@ -177,9 +180,9 @@ void Run() {
   times.clear();
   for (int r = 0; r < kRuns; ++r) times.push_back(dd->TimedQuery(&stats));
   const double degraded_steady_ms = Median(times);
-  std::printf("%-22s %12.3f %10.2f %16d\n", "muted: first(trip)",
+  std::printf("%-22s %12.3f %10.2f %16d\n", "muted: first",
               degraded_first_ms, first_stats.coverage,
-              first_stats.transport_retries);
+              first_stats.replay_heals);
   std::printf("%-22s %12.3f %10.2f %16s\n", "muted: steady",
               degraded_steady_ms, stats.coverage, "-");
   const double degraded_coverage = stats.coverage;

@@ -57,7 +57,8 @@ int main() {
   // The same query heals transparently: the root notices the missing soft
   // state (Unavailable), replays its redo log, and retries. The sampled
   // seeds in the log make randomized vizketches reproducible.
-  root.cache().Clear();  // force recomputation rather than a cache hit
+  // Force recomputation rather than a cache hit.
+  deployment.shared_cache().Clear();
   auto after = with_ratio.value().ColumnRange("DelayRatio");
   if (!after.ok()) {
     std::printf("recovery failed: %s\n", after.status().ToString().c_str());

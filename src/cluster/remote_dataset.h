@@ -29,8 +29,10 @@ namespace cluster {
 /// deterministic seeded jitter, which is safe because sketches are pure
 /// functions of (data, seed). Transport losses (dropped requests, dropped or
 /// corrupted summaries) surface as deadline misses and heal the same way.
-/// Unavailable is NOT retried here: it means soft state is gone and only the
-/// root's redo-log replay can heal it.
+/// This is the only transport retry: a deadline miss that outlasts it makes
+/// the root degrade the query rather than re-run it. Unavailable is NOT
+/// retried here: it means soft state is gone and only the root's redo-log
+/// replay can heal it.
 ///
 /// When constructed with a WorkerHealth tracker and worker index, the proxy
 /// consults the circuit breaker before each RPC (fast-failing Unavailable

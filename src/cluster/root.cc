@@ -1,10 +1,6 @@
 #include "cluster/root.h"
 
-#include <algorithm>
 #include <optional>
-#include <thread>
-
-#include "util/random.h"
 
 namespace hillview {
 namespace cluster {
@@ -12,24 +8,11 @@ namespace cluster {
 namespace {
 
 /// Retriable at the query level: soft-state loss (heals via replay) and
-/// transport/deadline faults (heal via re-running the pure sketch). Anything
+/// transport/deadline faults the RPC edge could not heal (degrade). Anything
 /// else — including Cancelled — is final and fails the query immediately.
 bool Retriable(const Status& s) {
   return s.code() == StatusCode::kUnavailable ||
          s.code() == StatusCode::kDeadlineExceeded;
-}
-
-/// Query-level backoff before transport retry `retry` (1-based): capped
-/// exponential scaled by deterministic seeded jitter in [0.5, 1.0)x — the
-/// same shape as the per-RPC backoff, one level up.
-double QueryBackoffMs(const SketchOptions::RpcPolicy& rpc, uint64_t seed,
-                      int retry) {
-  double ms = rpc.backoff_base_ms;
-  for (int i = 1; i < retry; ++i) ms *= 2.0;
-  ms = std::min(ms, rpc.backoff_cap_ms);
-  Random rng(MixSeed(MixSeed(seed, 0x9e3779b97f4a7c15ULL),
-                     static_cast<uint64_t>(retry)));
-  return ms * (0.5 + 0.5 * rng.NextDouble());
 }
 
 /// Settles a single-flight cache flight on every exit path. The owner
@@ -101,13 +84,18 @@ Result<std::string> RootSession::MapDataSet(const std::string& parent_id,
   return new_id;
 }
 
-DataSetPtr RootSession::GetRootDataSet(const std::string& dataset_id) {
-  return BuildRootDataSet(
-      dataset_id, cluster_->options().aggregation.tolerate_child_failures);
+SketchOptions RootSession::QueryOptions(uint64_t seed,
+                                        CancellationTokenPtr token) const {
+  SketchOptions options;
+  options.seed = seed;
+  options.rpc = cluster_->options().rpc;
+  options.cancellation = std::move(token);
+  options.session_id = session_id_;
+  return options;
 }
 
-DataSetPtr RootSession::BuildRootDataSet(const std::string& dataset_id,
-                                         bool tolerant) {
+DataSetPtr RootSession::GetRootDataSet(const std::string& dataset_id,
+                                       bool tolerant) {
   const std::vector<WorkerPtr>& workers = cluster_->workers();
   std::vector<DataSetPtr> children;
   children.reserve(workers.size());
@@ -220,128 +208,74 @@ Result<AnySummary> RootSession::RunAttempts(const std::string& dataset_id,
                                             QueryStats* stats) {
   QueryStats& q = *stats;
   const Cluster::Options& opts = cluster_->options();
-  WorkerHealth& health = cluster_->health();
+  // Backstop against a truly hung worker whose stream never completes at all
+  // — distinct from (and far above) the per-RPC deadline, which handles
+  // merely late or lost responses. 0 = no backstop (then the wait is a plain
+  // completion wait, cancellation-aware when there is a token).
+  const SketchOptions::RpcPolicy& rpc = opts.rpc;
+  const double backstop_ms =
+      rpc.deadline_ms > 0
+          ? (rpc.deadline_ms * (rpc.max_retries + 1) +
+             rpc.backoff_cap_ms * rpc.max_retries) *
+                    10.0 +
+                1000.0
+          : 0.0;
 
-  Status last_error = Status::OK();
-  int replay_attempts = 0;
-  int transport_retries = 0;
   bool degraded_pass = false;
-  // Total attempts: the first run, every healing retry, plus the one final
-  // degraded pass.
-  const int max_attempts =
-      1 + opts.max_replay_retries + opts.max_transport_retries + 1;
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
+  for (int attempt = 0;; ++attempt) {
     if (token != nullptr && token->IsCancelled()) {
-      q.replay_heals = replay_attempts;
-      q.transport_retries = transport_retries;
       return Status::Cancelled("render superseded");
     }
     // Degrade as soon as a breaker is open: the breaker's verdict is the
-    // signal that retrying into that worker is pointless, so the merge
-    // should complete over the survivors (§5.7). The final degraded pass
-    // also tolerates losses regardless of breaker state.
-    const bool tolerant =
-        degraded_pass || (opts.allow_degraded && health.AnyOpen());
-    DataSetPtr root = BuildRootDataSet(dataset_id, tolerant);
-    SketchOptions options;
-    options.seed = seed;
-    options.rpc = opts.rpc;
-    options.cancellation = token;
-    options.session_id = session_id_;
-    auto stream = root->RunSketch(sketch, options);
-
-    std::optional<PartialResult<AnySummary>> last;
+    // signal that asking that worker again is pointless, so the merge should
+    // complete over the survivors (§5.7). The degraded pass also tolerates
+    // losses regardless of breaker state.
+    const bool tolerant = degraded_pass || cluster_->health().AnyOpen();
+    auto stream = GetRootDataSet(dataset_id, tolerant)
+                      ->RunSketch(sketch, QueryOptions(seed, token));
     bool backstop_fired = false;
-    bool cancelled_wait = false;
-    if (opts.rpc.deadline_ms > 0 || token != nullptr) {
-      // Backstop against a truly hung worker whose stream never completes
-      // at all — distinct from (and far above) the per-RPC deadline, which
-      // handles merely late or lost responses. 0 = no backstop (then the
-      // wait is purely cancellation-aware).
-      const double backstop_ms =
-          opts.rpc.deadline_ms > 0
-              ? (opts.rpc.deadline_ms * (opts.rpc.max_retries + 1) +
-                 opts.rpc.backoff_cap_ms * opts.rpc.max_retries) *
-                        10.0 +
-                    1000.0
-              : 0.0;
-      last = stream->BlockingLastFor(backstop_ms, &backstop_fired, token,
-                                     &cancelled_wait);
-    } else {
-      last = stream->BlockingLast();
-    }
-    if (cancelled_wait) {
+    bool cancelled = false;
+    std::optional<PartialResult<AnySummary>> last =
+        stream->BlockingLastFor(backstop_ms, &backstop_fired, token,
+                                &cancelled);
+    if (cancelled) {
       // Superseded mid-flight: abandon the stream (stragglers complete into
       // a stream nobody reads) and settle immediately — the whole point of
       // generation-tagged cancellation is not waiting out slow renders.
-      q.replay_heals = replay_attempts;
-      q.transport_retries = transport_retries;
       return Status::Cancelled("render superseded");
     }
-    Status status = backstop_fired
-                        ? Status::DeadlineExceeded(
-                              "query exceeded its completion backstop")
-                        : stream->final_status();
-
+    const Status status = backstop_fired
+                              ? Status::DeadlineExceeded(
+                                    "query exceeded its completion backstop")
+                              : stream->final_status();
     if (status.ok()) {
       if (!last.has_value()) {
         return Status::Internal("sketch completed without a result");
       }
       q.coverage = last->coverage;
       q.degraded = last->coverage < 1.0;
-      q.replay_heals = replay_attempts;
-      q.transport_retries = transport_retries;
       return last->value;
     }
-    last_error = status;
-    if (!Retriable(status)) break;
+    if (!Retriable(status) || degraded_pass) return status;
 
     if (status.code() == StatusCode::kUnavailable &&
-        replay_attempts < opts.max_replay_retries) {
+        q.replay_heals < opts.max_replay_retries) {
       // Lazy replay (§5.7): re-execute the logged operations to rebuild the
       // missing soft state, then retry the query.
-      ++replay_attempts;
+      ++q.replay_heals;
       Status replayed = redo_log_.ReplayAll();
-      if (!replayed.ok()) {
-        if (!Retriable(replayed)) {
-          q.replay_heals = replay_attempts;
-          q.transport_retries = transport_retries;
-          return replayed;
-        }
-        // The replay itself hit soft-state loss or a transport fault (e.g.
-        // a worker died again mid-heal): that is just another failure of
-        // this attempt. It already consumed a slot in the replay budget;
-        // loop and heal again rather than giving up.
-        last_error = replayed;
-      }
-      if (retry_hook_) retry_hook_(attempt, status);
-      continue;
-    }
-    if (status.code() == StatusCode::kDeadlineExceeded &&
-        transport_retries < opts.max_transport_retries) {
-      // Transport-level failure: the sketch is pure and seeded, so simply
-      // re-running it is safe. Back off (capped, seeded jitter) first.
-      ++transport_retries;
-      const double backoff = QueryBackoffMs(opts.rpc, seed, transport_retries);
-      if (backoff > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(backoff));
-      }
-      if (retry_hook_) retry_hook_(attempt, status);
-      continue;
-    }
-    if (!degraded_pass && opts.allow_degraded) {
-      // Every healing budget is spent. Last resort: accept losing the dead
-      // workers and complete over the survivors, marking the coverage.
+      // A retriable replay failure (e.g. a worker died again mid-heal) is
+      // just another failure of this attempt: it already consumed a slot in
+      // the replay budget, so loop and heal again rather than giving up.
+      if (!replayed.ok() && !Retriable(replayed)) return replayed;
+    } else {
+      // The RPC edge already retried transport faults, or the replay budget
+      // is spent. Last resort: accept losing the failed workers and complete
+      // over the survivors, marking the coverage.
       degraded_pass = true;
-      if (retry_hook_) retry_hook_(attempt, status);
-      continue;
     }
-    break;
+    if (retry_hook_) retry_hook_(attempt, status);
   }
-  q.replay_heals = replay_attempts;
-  q.transport_retries = transport_retries;
-  return last_error;
 }
 
 }  // namespace cluster

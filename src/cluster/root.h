@@ -24,14 +24,15 @@ namespace cluster {
 /// tracker, the shared ComputationCache and the fair scheduler live on the
 /// Cluster and are shared by all sessions.
 ///
-/// Fault handling is layered by failure class (the three-tier contract):
-/// soft-state loss (kUnavailable) heals by redo-log replay; transport faults
-/// (kDeadlineExceeded, after the remote edge's own per-RPC retries) get
-/// bounded query-level retries with capped, seeded backoff; a worker that
-/// keeps failing trips its circuit breaker, after which queries degrade
-/// gracefully — the merge completes over the survivors and the result
-/// carries a coverage fraction instead of an error. Degraded results are
-/// never stored in the shared cache (and never served to another session).
+/// Fault handling is one ladder. Transport faults are retried only at the
+/// RPC edge (RemoteDataSet), which re-asks just the worker that failed. At
+/// the query level, soft-state loss (kUnavailable) heals by redo-log replay
+/// while the replay budget lasts; any other retriable failure, or a spent
+/// replay budget, gets exactly one degraded pass — the merge completes over
+/// the survivors and the result carries a coverage fraction instead of an
+/// error. A query also degrades from its first attempt while any worker's
+/// circuit breaker is open. Degraded results are never stored in the shared
+/// cache (and never served to another session).
 ///
 /// Queries additionally pass through the cluster's QueryScheduler: admission
 /// control may shed them with Unavailable before they run, and deficit-
@@ -47,19 +48,14 @@ namespace cluster {
 /// The Cluster must outlive the session and every query it runs.
 class RootSession {
  public:
-  /// Deployment-wide tuning now lives on the Cluster; the alias keeps the
-  /// pre-split spelling (`RootSession::Options`) working at call sites.
-  using Options = Cluster::Options;
-
   /// Per-query fault-handling + serving observability, filled in by
   /// RunSketch / RunErased when the caller passes a stats out-param.
   struct QueryStats {
-    double coverage = 1.0;     // partitions merged / total partitions
-    int replay_heals = 0;      // redo-log replays this query triggered
-    int transport_retries = 0; // query-level deadline retries
-    bool degraded = false;     // coverage < 1.0
-    bool from_cache = false;   // served from the shared computation cache
-    bool coalesced = false;    // adopted another caller's in-flight result
+    double coverage = 1.0;    // partitions merged / total partitions
+    int replay_heals = 0;     // redo-log replays this query triggered
+    bool degraded = false;    // coverage < 1.0
+    bool from_cache = false;  // served from the shared computation cache
+    bool coalesced = false;   // adopted another caller's in-flight result
   };
 
   /// Registers a base dataset: `partition_loaders[i]` produces micropartition
@@ -77,15 +73,11 @@ class RootSession {
   Result<std::string> MapDataSet(const std::string& parent_id, TableMap map,
                                  const std::string& op_name);
 
-  /// The root execution tree for a dataset: a ParallelDataSet over one
-  /// RemoteDataSet per worker.
-  DataSetPtr GetRootDataSet(const std::string& dataset_id);
-
   /// Runs a sketch to completion through the fair scheduler, with
   /// shared-cache lookup (when `cacheable`; identical concurrent queries are
-  /// single-flighted across sessions), Unavailable-healing replay, deadline
-  /// retries and — as a last resort — coverage-marked degradation. The seed
-  /// is logged. `stats` (optional) receives what the fault machinery did.
+  /// single-flighted across sessions), Unavailable-healing replay and — as a
+  /// last resort — one coverage-marked degraded pass. The seed is logged.
+  /// `stats` (optional) receives what the fault machinery did.
   /// `token` (optional, typically from BeginRender) cancels the query when
   /// its render is superseded; it then returns Status::Cancelled.
   template <typename R>
@@ -100,8 +92,9 @@ class RootSession {
     return summary.As<R>();
   }
 
-  /// Streaming variant (no replay healing — callers wanting progressive
-  /// updates resubscribe on failure). Streams bypass the scheduler's
+  /// Streaming variant: per-RPC retries at the remote edge, but no replay
+  /// healing or degraded pass — callers wanting progressive updates
+  /// resubscribe on failure. Streams bypass the scheduler's
   /// admission/fairness queue: they are the interactive progressive path,
   /// and their cost lands on the per-session byte counters regardless.
   template <typename R>
@@ -109,13 +102,10 @@ class RootSession {
                                               SketchPtr<R> sketch,
                                               uint64_t seed = 0,
                                               CancellationTokenPtr token = {}) {
-    DataSetPtr root = GetRootDataSet(dataset_id);
-    SketchOptions options;
-    options.seed = seed;
-    options.cancellation = std::move(token);
-    options.session_id = session_id_;
+    DataSetPtr root = GetRootDataSet(dataset_id, /*tolerant=*/false);
     redo_log_.Append("sketch", dataset_id + "#" + sketch->name(), seed);
-    return RunTypedSketch<R>(*root, std::move(sketch), options);
+    return RunTypedSketch<R>(*root, std::move(sketch),
+                             QueryOptions(seed, std::move(token)));
   }
 
   /// Starts a new render generation for `view_id` and returns its
@@ -134,23 +124,17 @@ class RootSession {
   /// Simulates a crash of worker `index` (drops all its soft state).
   void RestartWorker(int index) { cluster_->workers()[index]->Restart(); }
 
-  /// Hook fired just before each query retry (after the heal/backoff step),
-  /// with the 0-based attempt number that failed and its status. Tests use
-  /// it to crash workers *between* the retry attempts of one query.
+  /// Hook fired just before each query re-run (after a replay heal, and
+  /// before the degraded pass), with the 0-based attempt number that failed
+  /// and its status. Tests use it to crash workers *between* the attempts of
+  /// one query.
   void set_retry_hook(std::function<void(int, const Status&)> hook) {
     retry_hook_ = std::move(hook);
   }
 
   int session_id() const { return session_id_; }
   Cluster* cluster() { return cluster_; }
-  int num_workers() const { return cluster_->num_workers(); }
-  const std::vector<WorkerPtr>& workers() const { return cluster_->workers(); }
   RedoLog& redo_log() { return redo_log_; }
-  /// The CLUSTER's shared cache (kept under the pre-split name so existing
-  /// call sites read naturally).
-  ComputationCache& cache() { return cluster_->shared_cache(); }
-  SimulatedNetwork* network() { return cluster_->network(); }
-  WorkerHealth& health() { return cluster_->health(); }
 
  private:
   friend class Cluster;  // sole issuer of sessions (OpenSession)
@@ -163,16 +147,21 @@ class RootSession {
                                bool cacheable, CancellationTokenPtr token,
                                QueryStats* stats = nullptr);
 
-  /// The healing attempt loop (replay / backoff-retry / degraded pass), run
-  /// inside a scheduler grant.
+  /// The healing attempt loop (replay / degraded pass), run inside a
+  /// scheduler grant.
   Result<AnySummary> RunAttempts(const std::string& dataset_id,
                                  const AnySketch& sketch, uint64_t seed,
                                  const CancellationTokenPtr& token,
                                  QueryStats* q);
 
-  /// Execution tree with explicit degraded-mode choice; the public
-  /// GetRootDataSet builds the strict (configured) variant.
-  DataSetPtr BuildRootDataSet(const std::string& dataset_id, bool tolerant);
+  /// The SketchOptions every query of this session runs with: its seed,
+  /// cancellation token and session id, plus the deployment's RpcPolicy.
+  SketchOptions QueryOptions(uint64_t seed, CancellationTokenPtr token) const;
+
+  /// The root execution tree for a dataset: a ParallelDataSet over one
+  /// RemoteDataSet per worker. `tolerant` completes the merge over the
+  /// survivors when workers fail (on top of the configured aggregation).
+  DataSetPtr GetRootDataSet(const std::string& dataset_id, bool tolerant);
 
   struct RenderState {
     int generation = 0;

@@ -36,8 +36,7 @@ Status QueryScheduler::Execute(int session_id,
     // Admission control, cheapest signal first. Shedding happens before the
     // query consumes a queue slot: under overload the tenant gets an
     // immediate Unavailable to back off on, not unbounded latency.
-    if (options_.shed_when_all_breakers_open && health_ != nullptr &&
-        health_->num_workers() > 0 &&
+    if (health_ != nullptr && health_->num_workers() > 0 &&
         health_->num_open() >= health_->num_workers()) {
       ++stats_.shed_unhealthy;
       return Status::Unavailable(

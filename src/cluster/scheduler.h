@@ -67,9 +67,6 @@ class QueryScheduler {
     /// DRR quantum: deficit credit per rotation visit. Smaller quanta
     /// interleave sessions more finely; larger ones amortize heavy queries.
     int64_t quantum_bytes = 64 * 1024;
-    /// Shed on arrival when every worker breaker is open (needs a non-null
-    /// WorkerHealth).
-    bool shed_when_all_breakers_open = true;
   };
 
   /// One consistent observability snapshot, taken under the lock.
@@ -83,7 +80,8 @@ class QueryScheduler {
     int64_t max_running = 0;          // peak concurrent grants observed
   };
 
-  /// `health` may be null (no breaker-informed admission).
+  /// `health` may be null (no breaker-informed admission); otherwise
+  /// arrivals shed while every worker's breaker is open.
   QueryScheduler(Options options, WorkerHealth* health)
       : options_(options), health_(health) {}
 

@@ -67,22 +67,6 @@ int64_t Worker::restart_count() const {
   return restart_count_;
 }
 
-void Worker::RecordDroppedMapFailure(const Status& status) {
-  MutexLock lock(mutex_);
-  ++dropped_map_failures_;
-  last_dropped_map_error_ = status.ToString();
-}
-
-int64_t Worker::dropped_map_failures() const {
-  MutexLock lock(mutex_);
-  return dropped_map_failures_;
-}
-
-std::string Worker::last_dropped_map_error() const {
-  MutexLock lock(mutex_);
-  return last_dropped_map_error_;
-}
-
 void Worker::RecordCorruptMessageDropped() {
   MutexLock lock(mutex_);
   ++corrupt_messages_dropped_;

@@ -86,19 +86,10 @@ class Worker {
 
   int64_t restart_count() const EXCLUDES(mutex_);
 
-  /// Records a map request whose failure status the caller had to drop
-  /// (fire-and-forget remote maps): the error is expected to resurface as
-  /// Unavailable on first use and heal via redo-log replay, and this counter
-  /// lets fault-injection tests assert that path actually fired.
-  void RecordDroppedMapFailure(const Status& status) EXCLUDES(mutex_);
-  int64_t dropped_map_failures() const EXCLUDES(mutex_);
-  std::string last_dropped_map_error() const EXCLUDES(mutex_);
-
   /// Records a summary frame that failed its checksum or did not deserialize
   /// at the machine boundary and was silently dropped there (the retry layer
-  /// turns the resulting silence into kDeadlineExceeded). Surfaced alongside
-  /// dropped_map_failures so corrupt messages are observable, not just
-  /// absorbed.
+  /// turns the resulting silence into kDeadlineExceeded), so corrupt
+  /// messages are observable, not just absorbed.
   void RecordCorruptMessageDropped() EXCLUDES(mutex_);
   int64_t corrupt_messages_dropped() const EXCLUDES(mutex_);
 
@@ -110,8 +101,6 @@ class Worker {
   mutable Mutex mutex_;
   std::map<std::string, DataSetPtr> datasets_ GUARDED_BY(mutex_);
   int64_t restart_count_ GUARDED_BY(mutex_) = 0;
-  int64_t dropped_map_failures_ GUARDED_BY(mutex_) = 0;
-  std::string last_dropped_map_error_ GUARDED_BY(mutex_);
   int64_t corrupt_messages_dropped_ GUARDED_BY(mutex_) = 0;
 };
 

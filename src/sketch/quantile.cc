@@ -14,9 +14,8 @@ namespace hillview {
 
 namespace {
 
-/// First word of the weighted wire format. A legacy (pre-KLL) payload starts
-/// with its key count instead; the magic is ~1.26 billion, far beyond any
-/// count the legacy size guard would accept, so the two cannot collide.
+/// First word of every quantile payload; a buffer that does not start with
+/// it is rejected before any of its counts is trusted.
 constexpr uint32_t kQuantileWireMagic = 0x4B4C4C31;  // "1LLK" little-endian
 
 /// Seed streams (MixSeed) for the deterministic coins: compaction parity
@@ -35,9 +34,9 @@ constexpr unsigned kMaxWeightExponent = 44;
 /// Coin seed for a summary's compaction / thinning randomness. Mixing the
 /// summary's content (total weight, item count) into the seed decorrelates
 /// parities across merge-tree nodes even when the XOR-combined seeds
-/// collapse — legacy payloads deserialize with seed 0, and two equal seeds
-/// cancel — while staying a pure function of the merge inputs (replay- and
-/// wire-stable) and invariant under operand swap (commutativity).
+/// collapse (two equal seeds cancel) while staying a pure function of the
+/// merge inputs (replay- and wire-stable) and invariant under operand swap
+/// (commutativity).
 uint64_t CoinSeed(const QuantileResult& r, uint64_t stream) {
   uint64_t content =
       r.TotalWeight() ^ (static_cast<uint64_t>(r.keys.size()) << 32);
@@ -48,9 +47,9 @@ Status InvalidQuantile(const char* what) {
   return Status::InvalidArgument(std::string("QuantileResult: ") + what);
 }
 
-/// Shared scalar guards for both wire formats (satellite of the KLL change:
-/// a byzantine worker must not smuggle NaN/out-of-range scalars into the
-/// root's merge state, where they would poison every later query).
+/// Scalar guards for the wire format: a byzantine worker must not smuggle
+/// NaN/out-of-range scalars into the root's merge state, where they would
+/// poison every later query.
 Status ValidateScalars(const QuantileResult& q) {
   if (std::isnan(q.rate) || q.rate <= 0.0 || q.rate > 1.0) {
     return InvalidQuantile("rate out of (0, 1]");
@@ -92,8 +91,8 @@ void QuantileResult::Serialize(ByteWriter* w) const {
   w->WriteU32(kQuantileWireMagic);
   w->WriteU32(static_cast<uint32_t>(keys.size()));
   // Fresh partition summaries are all unit weight; eliding the weight array
-  // then keeps the per-partial wire cost identical to the pre-KLL format
-  // (the simulated cluster charges these bytes as root bandwidth).
+  // then keeps their wire cost to the keys alone (the simulated cluster
+  // charges these bytes as root bandwidth).
   bool unit = true;
   for (uint64_t weight : weights) {
     if (weight != 1) {
@@ -109,8 +108,7 @@ void QuantileResult::Serialize(ByteWriter* w) const {
   if (!unit) {
     // Weights are powers of two by construction (unit at birth, doubled by
     // compaction, unchanged by rate thinning), so one exponent byte per
-    // item suffices — the weighted summary costs ~1 byte/item more on the
-    // wire than the legacy unit-weight format did.
+    // item suffices.
     for (uint64_t weight : weights) {
       w->WriteU8(static_cast<uint8_t>(std::bit_width(weight) - 1));
     }
@@ -123,31 +121,9 @@ void QuantileResult::Serialize(ByteWriter* w) const {
 }
 
 Status QuantileResult::Deserialize(ByteReader* r, QuantileResult* out) {
-  uint32_t first = 0;
-  HV_RETURN_IF_ERROR(r->ReadU32(&first));
-
-  if (first != kQuantileWireMagic) {
-    // Legacy unit-weight payload: `first` is the key count, followed by the
-    // keys, rate and max_size. Apply the same count-vs-remaining guard
-    // ReadCount would have.
-    uint32_t n = first;
-    if (n > r->Remaining() / 4) {
-      return Status::OutOfRange("truncated serialized message");
-    }
-    out->keys.resize(n);
-    for (auto& key : out->keys) {
-      uint32_t m = 0;
-      HV_RETURN_IF_ERROR(r->ReadCount(&m, /*min_element_bytes=*/1));
-      key.resize(m);
-      for (auto& v : key) HV_RETURN_IF_ERROR(DeserializeValue(r, &v));
-    }
-    HV_RETURN_IF_ERROR(r->ReadDouble(&out->rate));
-    HV_RETURN_IF_ERROR(r->ReadI32(&out->max_size));
-    out->weights.assign(n, 1);
-    out->seed = 0;
-    out->error = KllErrorLedger{};
-    return ValidateScalars(*out);
-  }
+  uint32_t magic = 0;
+  HV_RETURN_IF_ERROR(r->ReadU32(&magic));
+  if (magic != kQuantileWireMagic) return InvalidQuantile("bad magic word");
 
   uint32_t n = 0;
   HV_RETURN_IF_ERROR(r->ReadCount(&n, /*min_element_bytes=*/4));

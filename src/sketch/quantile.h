@@ -61,9 +61,8 @@ struct QuantileResult {
   double RankErrorBound() const;
 
   void Serialize(ByteWriter* w) const;
-  /// Accepts both the current weighted format (weights travel as 1-byte
-  /// power-of-two exponents) and the legacy unit-weight payload (pre-KLL
-  /// workers during a rolling upgrade); rejects hostile scalars
+  /// Accepts only payloads that open with the format's magic word (weights
+  /// travel as 1-byte power-of-two exponents); rejects hostile scalars
   /// (NaN/out-of-range rate, negative max_size, weight exponents or total
   /// weight over the 2^44 cap — generous against the display-sized totals
   /// real summaries carry, but tight enough that valid payloads cannot

@@ -121,14 +121,13 @@ const char* OperationDescription(int op) {
 
 OpMeasurement RunHillviewOperation(Spreadsheet* sheet, int op) {
   OpMeasurement m;
-  uint64_t bytes_before =
-      sheet->session()->network()->bytes_received_by_root();
+  cluster::SimulatedNetwork* network = sheet->session()->cluster()->network();
+  uint64_t bytes_before = network->bytes_received_by_root();
   Stopwatch watch;
   Status s = RunHillviewOp(sheet, op, watch, &m);
   m.seconds = watch.ElapsedSeconds();
   if (m.first_partial_seconds == 0) m.first_partial_seconds = m.seconds;
-  m.root_bytes =
-      sheet->session()->network()->bytes_received_by_root() - bytes_before;
+  m.root_bytes = network->bytes_received_by_root() - bytes_before;
   m.ok = s.ok();
   if (!s.ok()) m.error = s.ToString();
   return m;

@@ -28,6 +28,7 @@
 namespace hillview {
 namespace {
 
+using cluster::Cluster;
 using cluster::Direction;
 using cluster::FaultAction;
 using cluster::FaultInjector;
@@ -53,11 +54,11 @@ int ChaosIters() {
 constexpr int kWorkers = 4;
 constexpr int kPartitions = 8;
 
-/// Root options for chaos runs: deadlines on (so lost messages become
+/// Deployment options for chaos runs: deadlines on (so lost messages become
 /// kDeadlineExceeded), zero backoff (faults settle through the simulation,
 /// not the wall clock), generous per-RPC retry budget.
-RootSession::Options ChaosOptions() {
-  RootSession::Options options;
+Cluster::Options ChaosOptions() {
+  Cluster::Options options;
   options.aggregation.aggregation_window_ms = 0;
   options.rpc.deadline_ms = 5000;
   options.rpc.max_retries = 8;
@@ -71,7 +72,7 @@ RootSession::Options ChaosOptions() {
 /// deterministic-message-count configuration).
 std::unique_ptr<TestCluster> MakeChaosCluster(
     const std::vector<TablePtr>& partitions,
-    RootSession::Options options = ChaosOptions()) {
+    Cluster::Options options = ChaosOptions()) {
   ParallelDataSet::Options worker_aggregation;
   worker_aggregation.progressive = false;
   return TestCluster::Create(partitions, kWorkers, /*threads_per_worker=*/2,
@@ -183,14 +184,15 @@ TEST(Chaos, ScriptedDropOfNthUpMessageHealsViaRpcRetry) {
   EXPECT_EQ(SummaryBytes(result.value()), SummaryBytes(Reference(all_values)));
   EXPECT_EQ(stats.coverage, 1.0);
   EXPECT_FALSE(stats.degraded);
-  // Healed below the query level: the RPC retried, the query did not.
-  EXPECT_EQ(stats.transport_retries, 0);
+  // Healed below the query level: the RPC retried; the query neither
+  // replayed nor degraded.
   EXPECT_EQ(stats.replay_heals, 0);
   EXPECT_EQ(injector->Snapshot().dropped, 1u);
   // The retry succeeded, so the worker's breaker recorded a success and
   // never tripped.
-  EXPECT_EQ(tc->root->health().Snapshot().trips, 0);
-  EXPECT_EQ(tc->root->health().state(1), WorkerHealth::State::kClosed);
+  EXPECT_EQ(tc->cluster->health().Snapshot().failures, 0);
+  EXPECT_EQ(tc->cluster->health().Snapshot().trips, 0);
+  EXPECT_EQ(tc->cluster->health().state(1), WorkerHealth::State::kClosed);
 }
 
 // A dropped request (down direction) settles through the simulation — the
@@ -252,16 +254,20 @@ TEST(Chaos, DuplicatedSummaryMergesIdempotently) {
   EXPECT_EQ(injector->Snapshot().duplicated, 1u);
 }
 
-// A worker muted forever exhausts the per-RPC and query-level retry budgets,
-// trips its circuit breaker, and the query completes degraded: the merge
-// covers exactly the surviving partitions (6 of 8 → coverage 0.75, exact in
-// floating point), the summary equals the survivors-only reference, and the
-// degraded result is never admitted to the computation cache.
+// A worker muted forever exhausts its per-RPC retry budget twice per query —
+// on the first attempt and again on the degraded pass — and the query
+// completes degraded: the merge covers exactly the surviving partitions (6
+// of 8 → coverage 0.75, exact in floating point), the summary equals the
+// survivors-only reference, and the degraded result is never admitted to
+// the computation cache. Two breaker failures per query means the default
+// threshold of three trips the breaker during the second query.
 TEST(Chaos, MutedWorkerDegradesWithExactCoverageAndIsNeverCached) {
   constexpr int kDead = 2;
   std::vector<double> all_values;
   auto tc = MakeChaosCluster(ChaosPartitions(&all_values));
   ASSERT_NE(tc, nullptr);
+  WorkerHealth& health = tc->cluster->health();
+  ComputationCache& cache = tc->cluster->shared_cache();
   FaultPlan plan;
   plan.schedule.push_back(ScriptedFault::Mute(kDead, Direction::kUp, 0,
                                               ScriptedFault::kForever));
@@ -275,88 +281,107 @@ TEST(Chaos, MutedWorkerDegradesWithExactCoverageAndIsNeverCached) {
   EXPECT_EQ(stats.coverage, 6.0 / 8.0);
   EXPECT_EQ(SummaryBytes(degraded.value()),
             SummaryBytes(Reference(SurvivingValues(all_values, kDead))));
-  EXPECT_GE(tc->root->health().Snapshot().trips, 1);
-  EXPECT_NE(tc->root->health().state(kDead), WorkerHealth::State::kClosed);
+  EXPECT_EQ(health.Snapshot().failures, 2);
+  EXPECT_EQ(health.Snapshot().trips, 0);
+  EXPECT_EQ(health.state(kDead), WorkerHealth::State::kClosed);
   // Degraded results are never cached: the cache stays empty and a repeat of
   // the same cacheable query recomputes (degraded again) instead of hitting.
-  EXPECT_EQ(tc->root->cache().Snapshot().entries, 0u);
+  // The repeat's first attempt is the third consecutive failure and trips
+  // the breaker; its degraded pass then fast-fails the dead worker.
+  EXPECT_EQ(cache.Snapshot().entries, 0u);
   RootSession::QueryStats again;
   auto repeat = tc->root->RunSketch<HistogramResult>(
       "data", ChaosSketch(), /*seed=*/0, /*cacheable=*/true, &again);
   ASSERT_TRUE(repeat.ok());
   EXPECT_FALSE(again.from_cache);
   EXPECT_TRUE(again.degraded);
-  EXPECT_EQ(tc->root->cache().Snapshot().hits, 0);
+  EXPECT_EQ(again.coverage, 6.0 / 8.0);
+  EXPECT_EQ(cache.Snapshot().hits, 0);
+  EXPECT_EQ(cache.Snapshot().entries, 0u);
+  EXPECT_EQ(health.Snapshot().failures, 3);
+  EXPECT_EQ(health.Snapshot().trips, 1);
+  EXPECT_EQ(health.Snapshot().fast_fails, 1);
+  EXPECT_EQ(health.state(kDead), WorkerHealth::State::kOpen);
 
-  // Once the fault clears and the breaker closes (probed below in its own
-  // test), a full-coverage repeat is allowed back into the cache — proving
-  // no stale degraded entry ever shadowed it.
+  // Once the fault clears, the breaker's next use is its half-open probe
+  // (the default budget is two open uses); the probe succeeds and closes
+  // the breaker, and the full-coverage result is allowed into the cache —
+  // proving no stale degraded entry ever shadowed it.
   tc->network.InstallFaultInjector(nullptr);
   RootSession::QueryStats healed_stats;
-  Result<HistogramResult> healed = Status::OK();
-  for (int i = 0; i < 4; ++i) {
-    healed = tc->root->RunSketch<HistogramResult>(
-        "data", ChaosSketch(), /*seed=*/0, /*cacheable=*/true, &healed_stats);
-    ASSERT_TRUE(healed.ok());
-    if (!healed_stats.degraded) break;  // breaker may fast-fail before probing
-  }
+  auto healed = tc->root->RunSketch<HistogramResult>(
+      "data", ChaosSketch(), /*seed=*/0, /*cacheable=*/true, &healed_stats);
+  ASSERT_TRUE(healed.ok());
   EXPECT_FALSE(healed_stats.degraded);
   EXPECT_EQ(healed_stats.coverage, 1.0);
   EXPECT_EQ(SummaryBytes(healed.value()), SummaryBytes(Reference(all_values)));
-  EXPECT_EQ(tc->root->cache().Snapshot().entries, 1u);
+  EXPECT_EQ(health.Snapshot().probes, 1);
+  EXPECT_EQ(health.Snapshot().fast_fails, 1);
+  EXPECT_EQ(health.state(kDead), WorkerHealth::State::kClosed);
+  EXPECT_EQ(cache.Snapshot().entries, 1u);
 }
 
-// Recovery choreography, step by step: while the breaker is open the worker
-// fast-fails (degraded coverage even though the network healed), then the
-// half-open probe admits one RPC whose success closes the breaker and
-// restores full coverage.
+// Recovery choreography, step by step: the breaker trips during the second
+// faulty query; while it is open the worker fast-fails (degraded coverage
+// even though the network healed), then the half-open probe admits one RPC
+// whose success closes the breaker and restores full coverage.
 TEST(Chaos, RecoveredWorkerClosesBreakerViaHalfOpenProbe) {
   constexpr int kDead = 1;
   std::vector<double> all_values;
-  RootSession::Options options = ChaosOptions();
+  Cluster::Options options = ChaosOptions();
   options.health.open_uses_before_probe = 3;
   auto tc = MakeChaosCluster(ChaosPartitions(&all_values), options);
   ASSERT_NE(tc, nullptr);
+  WorkerHealth& health = tc->cluster->health();
   FaultPlan plan;
   plan.schedule.push_back(ScriptedFault::Mute(kDead, Direction::kUp, 0,
                                               ScriptedFault::kForever));
   tc->network.InstallFaultInjector(std::make_shared<FaultInjector>(plan));
 
-  // Query 1 (network faulty): trips the breaker, completes degraded. Its
-  // final degraded pass consumed one open-use of the breaker.
+  // Queries 1 and 2 (network faulty) complete degraded. Query 1 records two
+  // failures (its first attempt and its degraded pass); query 2's first
+  // attempt records the third, which trips the breaker, and its degraded
+  // pass spends one open use as a fast-fail.
   RootSession::QueryStats stats;
-  auto q1 = tc->root->RunSketch<HistogramResult>(
-      "data", ChaosSketch(), /*seed=*/0, /*cacheable=*/false, &stats);
-  ASSERT_TRUE(q1.ok()) << q1.status().ToString();
-  EXPECT_TRUE(stats.degraded);
-  EXPECT_EQ(tc->root->health().Snapshot().trips, 1);
-  EXPECT_EQ(tc->root->health().state(kDead), WorkerHealth::State::kOpen);
+  for (int q = 0; q < 2; ++q) {
+    auto faulty = tc->root->RunSketch<HistogramResult>(
+        "data", ChaosSketch(), /*seed=*/0, /*cacheable=*/false, &stats);
+    ASSERT_TRUE(faulty.ok()) << faulty.status().ToString();
+    EXPECT_TRUE(stats.degraded);
+    EXPECT_EQ(stats.coverage, 6.0 / 8.0);
+  }
+  EXPECT_EQ(health.Snapshot().failures, 3);
+  EXPECT_EQ(health.Snapshot().trips, 1);
+  EXPECT_EQ(health.Snapshot().fast_fails, 1);
+  EXPECT_EQ(health.state(kDead), WorkerHealth::State::kOpen);
 
   // The fault clears — but the breaker remembers.
   tc->network.InstallFaultInjector(nullptr);
 
-  // Query 2: still inside the open-use window, the worker fast-fails without
+  // Query 3: still inside the open-use window, the worker fast-fails without
   // any RPC; the query stays degraded at the same exact coverage.
-  auto q2 = tc->root->RunSketch<HistogramResult>(
-      "data", ChaosSketch(), /*seed=*/0, /*cacheable=*/false, &stats);
-  ASSERT_TRUE(q2.ok());
-  EXPECT_TRUE(stats.degraded);
-  EXPECT_EQ(stats.coverage, 6.0 / 8.0);
-  EXPECT_EQ(SummaryBytes(q2.value()),
-            SummaryBytes(Reference(SurvivingValues(all_values, kDead))));
-
-  // Query 3: the open-use budget is spent, so the breaker goes half-open and
-  // admits one probe RPC; it succeeds, the breaker closes, coverage is full
-  // and the bytes match the fault-free reference.
   auto q3 = tc->root->RunSketch<HistogramResult>(
       "data", ChaosSketch(), /*seed=*/0, /*cacheable=*/false, &stats);
   ASSERT_TRUE(q3.ok());
+  EXPECT_TRUE(stats.degraded);
+  EXPECT_EQ(stats.coverage, 6.0 / 8.0);
+  EXPECT_EQ(SummaryBytes(q3.value()),
+            SummaryBytes(Reference(SurvivingValues(all_values, kDead))));
+  EXPECT_EQ(health.Snapshot().fast_fails, 2);
+
+  // Query 4: the open-use budget is spent, so the breaker goes half-open and
+  // admits one probe RPC; it succeeds, the breaker closes, coverage is full
+  // and the bytes match the fault-free reference.
+  auto q4 = tc->root->RunSketch<HistogramResult>(
+      "data", ChaosSketch(), /*seed=*/0, /*cacheable=*/false, &stats);
+  ASSERT_TRUE(q4.ok());
   EXPECT_FALSE(stats.degraded);
   EXPECT_EQ(stats.coverage, 1.0);
-  EXPECT_EQ(SummaryBytes(q3.value()), SummaryBytes(Reference(all_values)));
-  EXPECT_EQ(tc->root->health().state(kDead), WorkerHealth::State::kClosed);
-  EXPECT_EQ(tc->root->health().Snapshot().probes, 1);
-  EXPECT_GE(tc->root->health().Snapshot().fast_fails, 2);
+  EXPECT_EQ(SummaryBytes(q4.value()), SummaryBytes(Reference(all_values)));
+  EXPECT_EQ(health.state(kDead), WorkerHealth::State::kClosed);
+  EXPECT_EQ(health.Snapshot().probes, 1);
+  EXPECT_EQ(health.Snapshot().fast_fails, 2);
+  EXPECT_EQ(health.Snapshot().trips, 1);
 }
 
 // The breaker state machine in isolation: closed → (threshold failures) →

@@ -9,6 +9,8 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -229,6 +231,105 @@ TEST(ConcurrencyStress, ParallelDataSetProgressiveStreaming) {
   }
 }
 
+/// Paces worker crashes against the queries they race. A restart may land
+/// only once every querier has finished a query that began after the
+/// previous restart, so no query spans more than one crash — which a single
+/// redo-log replay heals, well inside the default replay budget — however
+/// the threads are scheduled. Unpaced, crashes outrun replay on many cores
+/// and barely land at all on one.
+class CrashPacer {
+ public:
+  explicit CrashPacer(int queriers)
+      : caught_up_(static_cast<size_t>(queriers), -1) {}
+
+  /// The restart count a query starts under; its epoch.
+  int64_t BeginQuery() const EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    return restarts_;
+  }
+
+  /// Records that `querier` finished a query begun in `epoch`.
+  void EndQuery(int querier, int64_t epoch) EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    caught_up_[static_cast<size_t>(querier)] = epoch;
+  }
+
+  /// Stops waiting on `querier`, which will start no more queries.
+  void Retire(int querier) { EndQuery(querier, kRetired); }
+
+  /// Restarts the next worker in rotation if some querier is still running
+  /// and every querier has caught up with the previous restart. Holding the
+  /// lock across Restart() keeps any query from reading the new epoch before
+  /// the crash has landed.
+  void TryRestart(const std::vector<cluster::WorkerPtr>& workers)
+      EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    bool any_running = false;
+    for (int64_t epoch : caught_up_) {
+      if (epoch < restarts_) return;
+      any_running |= epoch != kRetired;
+    }
+    if (!any_running) return;
+    workers[static_cast<size_t>(restarts_) % workers.size()]->Restart();
+    ++restarts_;
+  }
+
+  int64_t restarts() const EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    return restarts_;
+  }
+
+ private:
+  static constexpr int64_t kRetired = std::numeric_limits<int64_t>::max();
+
+  mutable Mutex mutex_;
+  std::vector<int64_t> caught_up_ GUARDED_BY(mutex_);
+  int64_t restarts_ GUARDED_BY(mutex_) = 0;
+};
+
+constexpr int kQueriers = 3;
+constexpr int kQueryIters = 10;
+constexpr int64_t kMinRestarts = 8;
+
+/// Races kQueriers threads, each running `query(querier, iteration)`,
+/// against an evictor on `workers`. Evictions (the memory manager dropping
+/// tables and key caches) run free; crash-restarts are paced by a
+/// CrashPacer. Every querier runs at least kQueryIters queries and keeps
+/// going until kMinRestarts restarts have landed, so each round crashes
+/// workers under live queries on one CPU as on many. Returns the round's
+/// restart count.
+int64_t RaceQueriesAgainstCrashes(
+    const std::vector<cluster::WorkerPtr>& workers,
+    const std::function<void(int, int)>& query) {
+  CrashPacer pacer(kQueriers);
+  std::atomic<bool> stop{false};
+  std::thread evictor([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      for (const auto& w : workers) w->EvictCaches();
+      pacer.TryRestart(workers);
+      std::this_thread::yield();
+    }
+  });
+
+  std::vector<std::thread> queriers;
+  queriers.reserve(kQueriers);
+  for (int q = 0; q < kQueriers; ++q) {
+    queriers.emplace_back([&, q] {
+      for (int iter = 0;
+           iter < kQueryIters || pacer.restarts() < kMinRestarts; ++iter) {
+        const int64_t epoch = pacer.BeginQuery();
+        query(q, iter);
+        pacer.EndQuery(q, epoch);
+      }
+      pacer.Retire(q);
+    });
+  }
+  for (auto& th : queriers) th.join();
+  stop = true;
+  evictor.join();
+  return pacer.restarts();
+}
+
 // Worker soft-state teardown racing in-flight queries: EvictCaches() and
 // Restart() fire while sorted-scroll sketches stream through the workers'
 // sort-key caches. Results must stay correct (the redo log heals restarts)
@@ -255,27 +356,10 @@ TEST(ConcurrencyStress, WorkerEvictCachesRacingSummarize) {
                                                          scroll_at(50.0));
     ASSERT_TRUE(expected.ok());
 
-    std::atomic<bool> stop{false};
-    std::thread evictor([&] {
-      int i = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        for (auto& w : tc->workers) {
-          if (++i % 5 == 0) {
-            w->Restart();  // crash: datasets drop, redo log heals on demand
-          } else {
-            w->EvictCaches();  // memory manager: tables + key cache drop
-          }
-        }
-        std::this_thread::yield();
-      }
-    });
-
-    constexpr int kQueriers = 3;
-    std::vector<std::thread> queriers;
-    queriers.reserve(kQueriers);
-    for (int q = 0; q < kQueriers; ++q) {
-      queriers.emplace_back([&, q] {
-        for (int iter = 0; iter < 10; ++iter) {
+    // Crashes drop datasets (the redo log heals them on demand); evictions
+    // drop tables and key caches.
+    const int64_t restarts =
+        RaceQueriesAgainstCrashes(tc->workers, [&](int q, int iter) {
           double start = 25.0 * (1 + (q + iter) % 3);  // 25 / 50 / 75
           auto r = tc->root->RunSketch<NextItemsResult>("data",
                                                         scroll_at(start));
@@ -284,12 +368,10 @@ TEST(ConcurrencyStress, WorkerEvictCachesRacingSummarize) {
             ASSERT_EQ(r.value().rows.size(), expected.value().rows.size());
             ASSERT_EQ(r.value().rows_before, expected.value().rows_before);
           }
-        }
-      });
-    }
-    for (auto& th : queriers) th.join();
-    stop = true;
-    evictor.join();
+        });
+    EXPECT_GE(restarts, kMinRestarts);
+    RecordProperty("round" + std::to_string(round) + "_restarts",
+                   std::to_string(restarts));
   }
 }
 
@@ -323,38 +405,17 @@ TEST(ConcurrencyStress, MorselFanOutRacingEvictAndRestart) {
         tc->root->RunSketch<HistogramResult>("data", make_sketch());
     ASSERT_TRUE(expected.ok());
 
-    std::atomic<bool> stop{false};
-    std::thread evictor([&] {
-      int i = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        for (auto& w : tc->workers) {
-          if (++i % 5 == 0) {
-            w->Restart();
-          } else {
-            w->EvictCaches();
-          }
-        }
-        std::this_thread::yield();
-      }
-    });
-
-    constexpr int kQueriers = 3;
-    std::vector<std::thread> queriers;
-    queriers.reserve(kQueriers);
-    for (int q = 0; q < kQueriers; ++q) {
-      queriers.emplace_back([&] {
-        for (int iter = 0; iter < 10; ++iter) {
+    const int64_t restarts =
+        RaceQueriesAgainstCrashes(tc->workers, [&](int, int) {
           auto r = tc->root->RunSketch<HistogramResult>("data", make_sketch());
           ASSERT_TRUE(r.ok()) << r.status().ToString();
           ASSERT_EQ(r.value().counts, expected.value().counts);
           ASSERT_EQ(r.value().missing, expected.value().missing);
           ASSERT_EQ(r.value().rows_scanned, expected.value().rows_scanned);
-        }
-      });
-    }
-    for (auto& th : queriers) th.join();
-    stop = true;
-    evictor.join();
+        });
+    EXPECT_GE(restarts, kMinRestarts);
+    RecordProperty("round" + std::to_string(round) + "_restarts",
+                   std::to_string(restarts));
   }
   SetMorselMinRowsForTest(0);
 }

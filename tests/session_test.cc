@@ -53,7 +53,7 @@ struct MultiTenant {
 
   static std::unique_ptr<MultiTenant> Create(
       const std::vector<TablePtr>& partitions, int num_sessions,
-      RootSession::Options options = {},
+      Cluster::Options options = {},
       SimulatedNetwork::Model net_model = {}) {
     auto mt = std::make_unique<MultiTenant>();
     mt->network.set_model(net_model);
@@ -80,8 +80,8 @@ struct MultiTenant {
 /// Chaos-style options: deadlines on (muted workers settle as
 /// kDeadlineExceeded through the simulation, not the wall clock), zero
 /// backoff, non-progressive root aggregation.
-RootSession::Options FaultOptions() {
-  RootSession::Options options;
+Cluster::Options FaultOptions() {
+  Cluster::Options options;
   options.aggregation.aggregation_window_ms = 0;
   options.rpc.deadline_ms = 5000;
   options.rpc.max_retries = 4;
@@ -118,8 +118,9 @@ TEST(Session, ClusterHandsOutDistinctSessionIds) {
   EXPECT_EQ(mt->sessions[2]->session_id(), 2);
   EXPECT_EQ(mt->cluster->sessions_opened(), 3);
   // All sessions share the cluster substrate.
-  EXPECT_EQ(&mt->sessions[0]->cache(), &mt->sessions[1]->cache());
-  EXPECT_EQ(&mt->sessions[0]->health(), &mt->sessions[2]->health());
+  EXPECT_EQ(mt->sessions[0]->cluster(), mt->cluster.get());
+  EXPECT_EQ(mt->sessions[1]->cluster(), mt->cluster.get());
+  EXPECT_EQ(mt->sessions[2]->cluster(), mt->cluster.get());
 }
 
 // N sessions race the SAME cacheable query: single-flight must elect exactly
@@ -389,16 +390,22 @@ TEST(Session, PerSessionTrafficIsAttributedAndFair) {
   EXPECT_EQ(a.messages_up, b.messages_up);
 }
 
-// The shared-health contract under faults: session A burns the retry budget
-// against a muted worker and trips its breaker; session B then sees the SAME
-// breaker verdict — it degrades immediately (no retry burn of its own) with
-// identical coverage. And the degraded-result guard holds across tenants:
-// A's partial result is never served to B from the shared cache.
+// The shared-health contract under faults: each of session A's queries
+// against a muted worker records two breaker failures (its first attempt and
+// its degraded pass), so A's second query trips the breaker. Session B then
+// sees the SAME breaker verdict — it degrades on its first attempt, where
+// the dead worker fast-fails without an RPC — with identical coverage. And
+// the degraded-result guard holds across tenants: A's partial result is
+// never served to B from the shared cache.
 TEST(Session, BreakerVerdictAndDegradedGuardAreSharedAcrossSessions) {
   std::vector<double> all_values;
+  Cluster::Options options = FaultOptions();
+  // Enough open uses that B's query fast-fails instead of probing.
+  options.health.open_uses_before_probe = 3;
   auto mt = MultiTenant::Create(Partitions(&all_values), /*num_sessions=*/2,
-                                FaultOptions());
+                                options);
   ASSERT_NE(mt, nullptr);
+  WorkerHealth& health = mt->cluster->health();
   constexpr int kDead = 1;
   FaultPlan plan;
   plan.schedule.push_back(ScriptedFault::Mute(kDead, Direction::kUp, 0,
@@ -406,16 +413,22 @@ TEST(Session, BreakerVerdictAndDegradedGuardAreSharedAcrossSessions) {
   mt->network.InstallFaultInjector(std::make_shared<FaultInjector>(plan));
 
   RootSession::QueryStats a_stats;
-  auto a = mt->sessions[0]->RunSketch<HistogramResult>(
-      "data", TestSketch(), /*seed=*/0, /*cacheable=*/true, &a_stats);
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
-  EXPECT_TRUE(a_stats.degraded);
-  EXPECT_EQ(a_stats.coverage, 0.5);  // worker 1 held partitions 1 and 3
-  EXPECT_GE(mt->cluster->health().Snapshot().trips, 1);
+  Result<HistogramResult> a = Status::OK();
+  for (int q = 0; q < 2; ++q) {
+    a = mt->sessions[0]->RunSketch<HistogramResult>(
+        "data", TestSketch(), /*seed=*/0, /*cacheable=*/true, &a_stats);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    EXPECT_TRUE(a_stats.degraded);
+    EXPECT_EQ(a_stats.coverage, 0.5);  // worker 1 held partitions 1 and 3
+  }
+  EXPECT_EQ(health.Snapshot().failures, 3);
+  EXPECT_EQ(health.Snapshot().trips, 1);
+  EXPECT_EQ(health.Snapshot().fast_fails, 1);
+  EXPECT_EQ(health.state(kDead), WorkerHealth::State::kOpen);
 
   // Session B: the shared breaker is already open, so B degrades on its
-  // FIRST attempt — no transport retries — and is NOT served A's partial
-  // result from the shared cache.
+  // FIRST attempt — a fast-fail, no RPC and no breaker failure of its own —
+  // and is NOT served A's partial result from the shared cache.
   RootSession::QueryStats b_stats;
   auto b = mt->sessions[1]->RunSketch<HistogramResult>(
       "data", TestSketch(), /*seed=*/0, /*cacheable=*/true, &b_stats);
@@ -423,7 +436,10 @@ TEST(Session, BreakerVerdictAndDegradedGuardAreSharedAcrossSessions) {
   EXPECT_TRUE(b_stats.degraded);
   EXPECT_FALSE(b_stats.from_cache);
   EXPECT_EQ(b_stats.coverage, a_stats.coverage);
-  EXPECT_EQ(b_stats.transport_retries, 0);
+  EXPECT_EQ(health.Snapshot().failures, 3);
+  EXPECT_EQ(health.Snapshot().fast_fails, 2);
+  EXPECT_EQ(health.Snapshot().probes, 0);
+  EXPECT_EQ(health.Snapshot().trips, 1);
   EXPECT_EQ(mt->cluster->shared_cache().Snapshot().entries, 0u);
   EXPECT_EQ(SummaryBytes(a.value()), SummaryBytes(b.value()));
 }

@@ -58,8 +58,8 @@ inline std::vector<std::vector<double>> SplitValues(
 
 /// An in-process cluster for tests: `workers` workers × `threads` threads,
 /// with the dataset "data" pre-loaded from the given partition tables.
-/// `root_options` tunes the session's fault policy (deadlines, retry
-/// budgets, breaker); `worker_aggregation` configures each worker's internal
+/// `options` tunes the deployment's fault policy (deadlines, retry budgets,
+/// breaker); `worker_aggregation` configures each worker's internal
 /// fan-out (chaos tests set progressive=false for deterministic per-channel
 /// message counts).
 struct TestCluster {
@@ -73,7 +73,7 @@ struct TestCluster {
   static std::unique_ptr<TestCluster> Create(
       const std::vector<TablePtr>& partitions, int num_workers = 2,
       int threads_per_worker = 2,
-      cluster::RootSession::Options root_options = {},
+      cluster::Cluster::Options options = {},
       ParallelDataSet::Options worker_aggregation = {}) {
     auto tc = std::make_unique<TestCluster>();
     for (int w = 0; w < num_workers; ++w) {
@@ -82,7 +82,7 @@ struct TestCluster {
           worker_aggregation));
     }
     tc->cluster = std::make_unique<cluster::Cluster>(
-        tc->workers, &tc->network, root_options);
+        tc->workers, &tc->network, options);
     tc->root = tc->cluster->OpenSession();
     std::vector<LocalDataSet::Loader> loaders;
     for (const auto& table : partitions) {

@@ -167,10 +167,11 @@ TEST(WireRobustness, QuantileWeighted) {
   EXPECT_DOUBLE_EQ(out.error.variance, q.error.variance);
 }
 
-TEST(WireRobustness, QuantileLegacyUnitWeightPayloadStillDeserializes) {
-  // The pre-KLL wire format: key count, keys, rate, max_size — no magic, no
-  // weights, no seed, no error ledger. A rolling upgrade must still accept
-  // it (as an all-unit-weight summary).
+TEST(WireRobustness, QuantileWithoutMagicWordIsRejected) {
+  // Summaries are soft state and never persisted, so every quantile payload
+  // opens with the magic word. One that does not — here a count-first
+  // layout of keys, rate and max_size — is rejected whole and at every
+  // prefix.
   ByteWriter w;
   w.WriteU32(2);
   w.WriteU32(1);
@@ -181,22 +182,11 @@ TEST(WireRobustness, QuantileLegacyUnitWeightPayloadStillDeserializes) {
   w.WriteI32(64);
   std::vector<uint8_t> bytes = w.Take();
 
-  ByteReader r(bytes);
-  QuantileResult out;
-  ASSERT_TRUE(QuantileResult::Deserialize(&r, &out).ok());
-  EXPECT_TRUE(r.AtEnd());
-  ASSERT_EQ(out.keys.size(), 2u);
-  EXPECT_EQ(out.weights, (std::vector<uint64_t>{1, 1}));
-  EXPECT_DOUBLE_EQ(out.rate, 0.125);
-  EXPECT_EQ(out.max_size, 64);
-  EXPECT_EQ(out.TotalWeight(), 2u);
-
-  // Legacy truncations must still error at every prefix.
-  for (size_t len = 0; len < bytes.size(); ++len) {
+  for (size_t len = 0; len <= bytes.size(); ++len) {
     ByteReader prefix(bytes.data(), len);
-    QuantileResult garbage;
-    EXPECT_FALSE(QuantileResult::Deserialize(&prefix, &garbage).ok())
-        << "legacy payload parsed OK truncated to " << len;
+    QuantileResult out;
+    EXPECT_FALSE(QuantileResult::Deserialize(&prefix, &out).ok())
+        << "payload without the magic word parsed OK at length " << len;
   }
 }
 
@@ -248,18 +238,6 @@ TEST(WireRobustness, QuantileRejectsHostileScalars) {
   reject(WeightedQuantileBytes(0.5, 8, {0, 0}, 0.0,
                                /*error_worst=*/uint64_t{1} << 63),
          "error ledger over the 2^44 cap");
-
-  // The same scalar guards apply to legacy payloads.
-  ByteWriter w;
-  w.WriteU32(0);            // zero keys
-  w.WriteDouble(nan);       // hostile rate
-  w.WriteI32(8);
-  std::vector<uint8_t> legacy = w.Take();
-  ByteReader r(legacy);
-  QuantileResult out;
-  Status st = QuantileResult::Deserialize(&r, &out);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
 
   // A well-formed weighted payload with sane scalars still parses.
   std::vector<uint8_t> good = WeightedQuantileBytes(0.5, 8, {0, 1}, 4.0);
