@@ -180,8 +180,7 @@ Deviation QuantileDeviation() {
   for (int s = 1; s <= kSeeds; ++s) {
     QuantileResult result = sketch.Summarize(*t, 400 + s);
     for (double q : {0.1, 0.25, 0.5, 0.75, 0.9}) {
-      const auto* key = result.KeyAtQuantile(q);
-      double value = std::get<double>((*key)[0]);
+      double value = std::get<double>(result.KeyAtQuantile(q)->at(0));
       // Rank of the returned key in the exact order.
       auto it = std::lower_bound(sorted.begin(), sorted.end(), value);
       double rank = static_cast<double>(it - sorted.begin()) / kRows;
@@ -213,8 +212,10 @@ const uint32_t kSweepRows = kRows;      // one dataset size for the bench
 // sorted sample under either policy and the sweep isolates merge error.
 constexpr uint64_t kSamplesPerPartition = 800;
 constexpr int kBaselineCap = 1024;
-// The weighted format spends ~1 byte/item more than the legacy one (the
-// weight exponent), so an equal-byte budget holds slightly fewer items.
+// The budget that cost the legacy budget's bytes when keys travelled as
+// rows of tagged cells plus a weight exponent. Kept so the rank-error
+// METRIC lines stay comparable across layouts; the column-wise layout (8
+// bytes per cell) now spends fewer bytes than the legacy baseline.
 constexpr int kKllCap = 840;
 
 /// Production-like drift: values trend upward with row position, so
@@ -283,7 +284,7 @@ void MergeDepthSweep() {
       "\n=== Quantile merge-depth sweep: weighted KLL vs keep-every-other "
       "decimation ===\n"
       "(drifting values, %u rows, %llu samples/partition, %d seeds; budgets "
-      "%d KLL / %d legacy items ~ equal wire bytes;\n rank error in scroll "
+      "%d KLL / %d legacy items;\n rank error in scroll "
       "pixels = |rank - q| x 2V at V=%d, worst over q in [0.05, 0.95])\n",
       kSweepRows, static_cast<unsigned long long>(kSamplesPerPartition),
       kSweepSeeds, kKllCap, kBaselineCap, kSweepV);
@@ -328,7 +329,7 @@ void MergeDepthSweep() {
         base = DecimationMerge(std::move(base), part);
       }
       for (double q = 0.05; q < 0.951; q += 0.05) {
-        double kv = std::get<double>((*kll.KeyAtQuantile(q))[0]);
+        double kv = std::get<double>(kll.KeyAtQuantile(q)->at(0));
         kll_err = std::max(
             kll_err, std::fabs(TrueRank(sorted, kv) - q) * 2 * kSweepV);
         double bv = base.AtQuantile(q);

@@ -304,22 +304,22 @@ TablePtr MakeStringData() {
   return table;
 }
 
-/// The pre-PR NextItems scan: one virtual CompareRowToKey per row for the
-/// start key plus O(log K) virtual RowComparator::Compare calls per
-/// considered row. Kept as the baseline the sort-key path is measured
-/// against.
+/// The virtual NextItems scan: one virtual start-key compare per row plus
+/// O(log K) virtual RowComparator::Compare calls per considered row. Kept as
+/// the baseline the sort-key path is measured against.
 NextItemsResult NextItemsVirtualReference(
     const Table& table, const RecordOrder& order,
     const std::optional<std::vector<Value>>& start_key, int k) {
   NextItemsResult result;
   RowComparator comparator(table, order);
+  std::optional<RowKeyComparator> start;
+  if (start_key.has_value()) start.emplace(table, order, *start_key);
   std::vector<uint32_t> reps;
   std::vector<int64_t> counts;
   reps.reserve(k + 1);
   counts.reserve(k + 1);
   ScanRows(*table.members(), 1.0, 0, [&](uint32_t row) {
-    if (start_key.has_value() &&
-        CompareRowToKey(table, order, row, *start_key) <= 0) {
+    if (start.has_value() && start->Compare(row) <= 0) {
       ++result.rows_before;
       return;
     }

@@ -188,6 +188,8 @@ FindResult FindTextSketch::Summarize(const Table& table, uint64_t seed,
   std::vector<std::string> names = order_.ColumnNames();
   std::optional<uint32_t> best_row;
   RowComparator comparator(table, order_);
+  std::optional<RowKeyComparator> start;
+  if (start_key_.has_value()) start.emplace(table, order_, *start_key_);
 
   ScanRows(*table.members(), 1.0, 0, [&](uint32_t row) {
     bool matches = false;
@@ -202,8 +204,7 @@ FindResult FindTextSketch::Summarize(const Table& table, uint64_t seed,
     }
     if (!matches) return;
     ++result.match_count;
-    if (start_key_.has_value() &&
-        CompareRowToKey(table, order_, row, *start_key_) <= 0) {
+    if (start.has_value() && start->Compare(row) <= 0) {
       ++result.matches_before;
       return;
     }

@@ -21,9 +21,11 @@ namespace hillview {
 /// templating the whole sketch: every decision (which level to compact,
 /// which item of a pair survives, which items a subsample keeps, where a
 /// weighted quantile lands) depends only on the weight vector, so the
-/// planners live in kll.cc and return index lists; the one-line templates
-/// here apply those indices to whatever the items are (the quantile sketch
-/// stores materialized key tuples, `std::vector<Value>`).
+/// planners live in kll.cc and return index lists; the merge planner below
+/// takes the item order as a callback and returns an index list too. The
+/// caller applies the indices to whatever the items are (the quantile
+/// sketch keeps its keys column-wise, so each column gathers once from the
+/// final index list).
 ///
 /// Randomness is an explicit `Random` (xoshiro) seeded by the caller from
 /// the sketch seed — never wall-clock — so the redo log replays a crashed
@@ -106,40 +108,32 @@ void KllApplyKept(std::vector<Item>* items,
   items->resize(kept.size());
 }
 
-/// Merges two key-sorted weighted sequences into one (weights ride along
-/// with their items; nothing is compacted here — the caller compacts the
-/// result against its budget). `less` is a strict weak order over items,
-/// e.g. the sketch's RecordOrder comparator.
-template <typename Item, typename Less>
-void KllMergeSorted(const std::vector<Item>& a_items,
-                    const std::vector<uint64_t>& a_weights,
-                    const std::vector<Item>& b_items,
-                    const std::vector<uint64_t>& b_weights,
-                    std::vector<Item>* out_items,
-                    std::vector<uint64_t>* out_weights, Less less) {
-  out_items->clear();
-  out_weights->clear();
-  out_items->reserve(a_items.size() + b_items.size());
-  out_weights->reserve(a_items.size() + b_items.size());
+/// Merge planner for two key-sorted sequences, `left_items` and
+/// `right_items` (ascending item indices into each side; a thinned side
+/// lists only its kept items). Writes the merged order to `order` as
+/// indices into the concatenation of both sides: left item i is i, right
+/// item j is left_size + j. `right_first(i, j)` is true when right item j
+/// sorts strictly before left item i, so ties keep the left item first.
+/// Nothing is compacted here: the caller gathers weights through `order`,
+/// compacts them against its budget, and gathers the items last.
+template <typename RightFirst>
+void KllMergeOrder(const std::vector<uint32_t>& left_items,
+                   const std::vector<uint32_t>& right_items,
+                   uint32_t left_size, RightFirst right_first,
+                   std::vector<uint32_t>* order) {
+  order->clear();
+  order->reserve(left_items.size() + right_items.size());
   size_t i = 0, j = 0;
-  while (i < a_items.size() && j < b_items.size()) {
-    if (less(b_items[j], a_items[i])) {
-      out_items->push_back(b_items[j]);
-      out_weights->push_back(b_weights[j]);
-      ++j;
-    } else {
-      out_items->push_back(a_items[i]);
-      out_weights->push_back(a_weights[i]);
-      ++i;
-    }
+  while (i < left_items.size() && j < right_items.size()) {
+    // Selects instead of branching: the side that goes next is data.
+    const bool right = right_first(left_items[i], right_items[j]);
+    order->push_back(right ? left_size + right_items[j] : left_items[i]);
+    i += !right;
+    j += right;
   }
-  for (; i < a_items.size(); ++i) {
-    out_items->push_back(a_items[i]);
-    out_weights->push_back(a_weights[i]);
-  }
-  for (; j < b_items.size(); ++j) {
-    out_items->push_back(b_items[j]);
-    out_weights->push_back(b_weights[j]);
+  for (; i < left_items.size(); ++i) order->push_back(left_items[i]);
+  for (; j < right_items.size(); ++j) {
+    order->push_back(left_size + right_items[j]);
   }
 }
 

@@ -129,11 +129,12 @@ void TopKVirtual(const Table& table, const RecordOrder& order,
                  const std::optional<std::vector<Value>>& start_key, int k,
                  TopKRows* top, NextItemsResult* result) {
   RowComparator comparator(table, order);
+  std::optional<RowKeyComparator> start;
+  if (start_key.has_value()) start.emplace(table, order, *start_key);
   auto& reps = top->reps;
   auto& counts = top->counts;
   ScanRows(*table.members(), 1.0, 0, [&](uint32_t row) {
-    if (start_key.has_value() &&
-        CompareRowToKey(table, order, row, *start_key) <= 0) {
+    if (start.has_value() && start->Compare(row) <= 0) {
       ++result->rows_before;
       return;
     }
@@ -182,26 +183,26 @@ void TopKKeyed(const Table& table, const RecordOrder& order,
   // with certainty, rows above it are after with certainty; only rows whose
   // key lands inside the band need the full value comparison. Exact
   // single-column encodings collapse the band to one key.
-  const bool have_start = start_key.has_value();
+  std::optional<RowKeyComparator> start;
   std::optional<SortKeyPlan::StartKeyBand> band;
-  if (have_start) {
+  if (start_key.has_value()) {
+    start.emplace(table, order, *start_key);
     band = plan.EncodeStartKey(*start_key);
   }
 
   ScanRows(*table.members(), 1.0, 0, [&](uint32_t row) {
     uint64_t key = keys[row];
-    if (have_start) {
+    if (start.has_value()) {
       if (band.has_value()) {
         if (key < band->below) {
           ++result->rows_before;
           return;
         }
-        if (key <= band->above &&
-            CompareRowToKey(table, order, row, *start_key) <= 0) {
+        if (key <= band->above && start->Compare(row) <= 0) {
           ++result->rows_before;
           return;
         }
-      } else if (CompareRowToKey(table, order, row, *start_key) <= 0) {
+      } else if (start->Compare(row) <= 0) {
         ++result->rows_before;
         return;
       }

@@ -2,23 +2,59 @@
 #define HILLVIEW_SKETCH_QUANTILE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "sketch/kll.h"
-#include "sketch/next_items.h"
 #include "sketch/sketch.h"
 #include "storage/row_order.h"
 #include "util/serialize.h"
 
 namespace hillview {
 
+/// The class of one key cell: the Value alternative it materializes to (ints
+/// and dates both become int64). Across classes cells order as CompareValues
+/// orders them: numbers (ints and doubles interleaved by value), then
+/// strings, then missing.
+enum class KeyClass : uint8_t {
+  kInt = 0,
+  kDouble = 1,
+  kString = 2,
+  kMissing = 3,
+};
+
+/// One order column of a QuantileResult: a typed array parallel to the
+/// summary's weights.
+struct QuantileColumn {
+  /// The class of every cell while `classes` is empty.
+  KeyClass kind = KeyClass::kMissing;
+  /// Per-cell classes, present only when the cells hold at least two
+  /// classes: a column with missing cells, or a merge of partitions whose
+  /// loaders inferred different kinds for it (csv and jsonl infer per file).
+  std::vector<KeyClass> classes;
+  /// One word per cell. Ints and dates hold EncodeI64(v) and doubles
+  /// EncodeF64(v) (storage/sort_key.h), so within one numeric class word
+  /// order is value order; strings hold `offset << 32 | length` into the
+  /// summary's pool; missing cells hold 0.
+  std::vector<uint64_t> words;
+
+  KeyClass ClassAt(size_t item) const {
+    return classes.empty() ? kind : classes[item];
+  }
+};
+
 /// A weighted KLL summary of row keys, kept sorted under the record order.
 /// The scroll-bar quantile vizketch (§4.3 "Quantile for scroll bar"): with
 /// O(V²) samples the key at relative rank q is within ±1/(2V) of the true
 /// q-quantile with high probability (Theorem 2).
 ///
-/// Each retained key carries a weight — the number of sampled rows it
+/// Keys are stored column-wise, one typed array per order column, so a merge
+/// compares words (and pool bytes only for string cells) and the wire
+/// carries each column as one array; only the key a caller asks for is
+/// materialized as Values. A -0.0 cell comes back as +0.0, its equal.
+///
+/// Each retained item carries a weight — the number of sampled rows it
 /// represents. Fresh partition summaries are all unit weight; merging past
 /// the size cap compacts via randomized-parity KLL compaction (kll.h),
 /// doubling survivor weights instead of the old keep-every-other decimation
@@ -27,11 +63,13 @@ namespace hillview {
 /// key as one row). Quantile queries are weight-aware, and RankErrorBound()
 /// reports the compaction-induced rank error explicitly.
 struct QuantileResult {
-  /// Sampled keys (cells of the order columns), sorted ascending under the
-  /// sketch's record order.
-  std::vector<std::vector<Value>> keys;
-  /// Parallel to `keys`: sampled rows each key represents (1 until a
-  /// compaction touches it; powers of two for summaries built here).
+  /// Sampled keys, one column per order column, each parallel to `weights`;
+  /// items are sorted ascending under the sketch's record order.
+  std::vector<QuantileColumn> columns;
+  /// The bytes of every string cell, viewed by the string columns' words.
+  std::string pool;
+  /// Sampled rows each item represents (1 until a compaction touches it;
+  /// powers of two for summaries built here).
   std::vector<uint64_t> weights;
   /// Sampling rate; merges of unequal rates subsample the denser side down
   /// to the common (minimum) rate.
@@ -49,31 +87,46 @@ struct QuantileResult {
 
   bool IsZero() const { return max_size == 0; }
 
+  /// Number of retained items.
+  size_t size() const { return weights.size(); }
+
   /// Sum of all weights ≈ rate × rows summarized.
   uint64_t TotalWeight() const;
 
-  /// The key closest to quantile q in [0,1] by weighted rank; empty if no
+  /// Materializes one cell, or one item's key (its cell in every column).
+  Value Cell(size_t column, size_t item) const;
+  std::vector<Value> Key(size_t item) const;
+
+  /// The key closest to quantile q in [0,1] by weighted rank; nullopt if no
   /// samples.
-  const std::vector<Value>* KeyAtQuantile(double q) const;
+  std::optional<std::vector<Value>> KeyAtQuantile(double q) const;
 
   /// Normalized rank error introduced by compactions (0 for an uncompacted
   /// summary); the sampling error of Theorem 2 is on top of this.
   double RankErrorBound() const;
 
+  /// Wire format: the magic word, the item and column counts, the string
+  /// pool, then per column a class tag (or a per-cell class array) and its
+  /// word array, then the weights (elided when all are 1; otherwise 1-byte
+  /// power-of-two exponents) and the scalars.
   void Serialize(ByteWriter* w) const;
-  /// Accepts only payloads that open with the format's magic word (weights
-  /// travel as 1-byte power-of-two exponents); rejects hostile scalars
-  /// (NaN/out-of-range rate, negative max_size, weight exponents or total
-  /// weight over the 2^44 cap — generous against the display-sized totals
-  /// real summaries carry, but tight enough that valid payloads cannot
-  /// compose into uint64 overflow downstream) with InvalidArgument.
+  /// Accepts only payloads that open with the format's magic word; checks
+  /// every count against the remaining bytes and every column against the
+  /// item count; rejects unknown class tags, double words that are NaN or
+  /// not canonical, string views outside the pool, nonzero missing words,
+  /// and hostile scalars (NaN/out-of-range rate, negative max_size, weight
+  /// exponents or total weight over the 2^44 cap — generous against the
+  /// display-sized totals real summaries carry, but tight enough that valid
+  /// payloads cannot compose into uint64 overflow downstream) with
+  /// InvalidArgument.
   static Status Deserialize(ByteReader* r, QuantileResult* out);
 };
 
 /// Three-way comparison of two materialized keys (cells of the order
-/// columns) under `order` — the ordering every QuantileResult's keys are
-/// sorted by. Exposed so test oracles (the statistical rank-bound suite)
-/// rank by the exact production order instead of a drifting copy.
+/// columns) under `order`, by CompareValues cell by cell. The sketch itself
+/// compares encoded cells column-wise; this is the reference order those
+/// compares are tested against (the Quantile.Merges*InValueOrder tests and
+/// the statistical rank-bound suite).
 int CompareQuantileKeys(const RecordOrder& order, const std::vector<Value>& a,
                         const std::vector<Value>& b);
 
@@ -99,9 +152,6 @@ class QuantileSketch final : public Sketch<QuantileResult> {
                        const QuantileResult& right) const override;
 
  private:
-  int CompareKeys(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const;
-
   RecordOrder order_;
   double rate_;
   int max_size_;

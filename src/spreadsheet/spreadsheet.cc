@@ -195,10 +195,8 @@ Result<NextItemsResult> Spreadsheet::ScrollTo(
           std::make_shared<QuantileSketch>(
               order, rate, static_cast<int>(2 * sample_size)),
           NextSeed()));
-  const std::vector<Value>* key = quantile.KeyAtQuantile(q);
-  std::optional<std::vector<Value>> start;
-  if (key != nullptr) start = *key;
-  return TableView(order, std::move(display_columns), std::move(start), k);
+  return TableView(order, std::move(display_columns),
+                   quantile.KeyAtQuantile(q), k);
 }
 
 Result<FindResult> Spreadsheet::FindText(

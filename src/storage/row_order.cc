@@ -19,14 +19,21 @@ int RowComparator::Compare(uint32_t a, uint32_t b) const {
   return 0;
 }
 
-int CompareRowToKey(const Table& table, const RecordOrder& order, uint32_t row,
-                    const std::vector<Value>& key) {
+RowKeyComparator::RowKeyComparator(const Table& table,
+                                   const RecordOrder& order,
+                                   const std::vector<Value>& key) {
   const auto& orientations = order.orientations();
   for (size_t i = 0; i < orientations.size() && i < key.size(); ++i) {
     ColumnPtr col = table.GetColumnOrNull(orientations[i].column);
     if (col == nullptr) continue;
-    int c = CompareValues(col->GetValue(row), key[i]);
-    if (c != 0) return orientations[i].ascending ? c : -c;
+    cells_.push_back({col.get(), key[i], orientations[i].ascending});
+  }
+}
+
+int RowKeyComparator::Compare(uint32_t row) const {
+  for (const BoundCell& b : cells_) {
+    int c = CompareValues(b.column->GetValue(row), b.cell);
+    if (c != 0) return b.ascending ? c : -c;
   }
   return 0;
 }

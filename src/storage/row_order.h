@@ -61,11 +61,27 @@ class RowComparator {
   std::vector<bool> ascending_;
 };
 
-/// Compares a table row against a materialized key (cell values in the sort
-/// order's column sequence). Used by next-items to resume after row R, whose
-/// cells arrive from the client as values, not row ids.
-int CompareRowToKey(const Table& table, const RecordOrder& order, uint32_t row,
-                    const std::vector<Value>& key);
+/// Compares table rows against a materialized key (cell values in the sort
+/// order's column sequence). Used by next-items and find-text to resume after
+/// row R, whose cells arrive from the client as values, not row ids. Binds
+/// the columns once per scan, as RowComparator does; a key cell whose column
+/// the table lacks is ignored.
+class RowKeyComparator {
+ public:
+  RowKeyComparator(const Table& table, const RecordOrder& order,
+                   const std::vector<Value>& key);
+
+  /// Three-way comparison of a member row against the key.
+  int Compare(uint32_t row) const;
+
+ private:
+  struct BoundCell {
+    const IColumn* column;
+    Value cell;
+    bool ascending;
+  };
+  std::vector<BoundCell> cells_;
+};
 
 }  // namespace hillview
 

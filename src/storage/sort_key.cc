@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -13,7 +12,6 @@ namespace hillview {
 namespace {
 
 constexpr uint64_t kMissingKey = std::numeric_limits<uint64_t>::max();
-constexpr uint64_t kSignBit = 1ULL << 63;
 
 /// Packed-component sentinels: the all-ones 32-bit component is reserved for
 /// missing, so present encodings saturate one below it.
@@ -24,24 +22,6 @@ constexpr uint32_t kMaxComponent = kMissingComponent - 1;
 /// reach kMissingKey.
 inline uint64_t EncodeI32(int32_t v) {
   return static_cast<uint64_t>(static_cast<uint32_t>(v) ^ 0x80000000u) << 32;
-}
-
-/// Sign-bias for 64-bit integers. INT64_MAX maps to kMissingKey, which is
-/// reserved; callers saturate it to kMissingKey - 1 and record inexactness.
-inline uint64_t EncodeI64(int64_t v) {
-  return static_cast<uint64_t>(v) ^ kSignBit;
-}
-
-/// IEEE-754 total-order transform: monotone over all non-NaN doubles
-/// (including ±inf). -0.0 canonicalizes to +0.0 first, because CompareRows
-/// treats them as equal (operator==) and keys must not order equal values.
-/// NaN never reaches this (it is missing under the central scan policy).
-inline uint64_t EncodeF64(double d) {
-  if (d == 0.0) d = 0.0;  // collapse -0.0 onto +0.0
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(d));
-  std::memcpy(&bits, &d, sizeof(bits));
-  return (bits & kSignBit) ? ~bits : (bits | kSignBit);
 }
 
 /// The layouts a column can contribute to a packed 32+32 key.

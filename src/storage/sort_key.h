@@ -1,6 +1,7 @@
 #ifndef HILLVIEW_STORAGE_SORT_KEY_H_
 #define HILLVIEW_STORAGE_SORT_KEY_H_
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -11,6 +12,39 @@
 #include "storage/table.h"
 
 namespace hillview {
+
+/// Order-preserving 64-bit words for numeric cells, shared by the sort keys
+/// below and the quantile summary's key columns: unsigned comparison of two
+/// words of one encoding is the value order.
+///
+/// Sign-bias for 64-bit integers. INT64_MAX maps to the all-ones word, which
+/// the sort keys reserve for missing (SortKeyPlan saturates it and records
+/// inexactness).
+inline uint64_t EncodeI64(int64_t v) {
+  return static_cast<uint64_t>(v) ^ (uint64_t{1} << 63);
+}
+
+inline int64_t DecodeI64(uint64_t word) {
+  return static_cast<int64_t>(word ^ (uint64_t{1} << 63));
+}
+
+/// IEEE-754 total-order transform: monotone over all non-NaN doubles
+/// (including ±inf). -0.0 canonicalizes to +0.0 first, because CompareRows
+/// and CompareValues treat them as equal and words must not order equal
+/// values. NaN never reaches this (it is missing under the central scan
+/// policy).
+inline uint64_t EncodeF64(double d) {
+  if (d == 0.0) d = 0.0;  // collapse -0.0 onto +0.0
+  uint64_t bits = std::bit_cast<uint64_t>(d);
+  return (bits >> 63) != 0 ? ~bits : (bits | (uint64_t{1} << 63));
+}
+
+/// Inverse of EncodeF64. A word from outside may decode to NaN or to -0.0,
+/// which EncodeF64 never produces; callers check for both.
+inline double DecodeF64(uint64_t word) {
+  uint64_t bits = (word >> 63) != 0 ? (word & ~(uint64_t{1} << 63)) : ~word;
+  return std::bit_cast<double>(bits);
+}
 
 /// Typed sort-key extraction: turns the leading column(s) of a RecordOrder
 /// into fixed-width normalized keys so order-based sketches (next-items
@@ -144,7 +178,7 @@ class SortKeyPlan {
   /// Start-key band: the key range that cannot be classified by the key
   /// alone. keys()[r] < below implies row r strictly precedes the start key
   /// in the full record order; keys()[r] > above implies row r strictly
-  /// follows it; keys in [below, above] need a full CompareRowToKey. Exact
+  /// follows it; keys in [below, above] need a full RowKeyComparator. Exact
   /// single-column encodings collapse the band to a point (below == above).
   struct StartKeyBand {
     uint64_t below;
@@ -162,7 +196,7 @@ class SortKeyPlan {
   /// and callers that need the raw threshold:
   ///   keys()[r] <  *enc  =>  row r precedes the start key,
   ///   keys()[r] >  *enc  =>  row r follows the start key,
-  /// and equality requires a full CompareRowToKey. Returns nullopt when the
+  /// and equality requires a full RowKeyComparator. Returns nullopt when the
   /// value does not embed exactly.
   std::optional<uint64_t> EncodeStartCell(const Value& v) const;
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <set>
 
 #include "sketch/histogram2d.h"
@@ -169,8 +172,8 @@ TEST(Quantile, MedianWithinTheoremAccuracy) {
   QuantileSketch sketch(RecordOrder({{"x", true}}), rate,
                         static_cast<int>(4 * n));
   QuantileResult r = sketch.Summarize(*t, 77);
-  const auto* key = r.KeyAtQuantile(0.5);
-  ASSERT_NE(key, nullptr);
+  auto key = r.KeyAtQuantile(0.5);
+  ASSERT_TRUE(key.has_value());
   double median = std::get<double>((*key)[0]);
   // True median of U(0,1) is 0.5; Theorem 2 accuracy is ε = 1/(2V).
   EXPECT_NEAR(median, 0.5, 3.0 / (2 * kV));
@@ -185,11 +188,11 @@ TEST(Quantile, MergePreservesRanks) {
     merged = sketch.Merge(
         merged, sketch.Summarize(*MakeDoubleTable("x", chunk), part++));
   }
-  ASSERT_FALSE(merged.keys.empty());
+  ASSERT_NE(merged.size(), 0u);
   // Keys sorted and quantiles roughly linear for uniform data.
-  for (size_t i = 1; i < merged.keys.size(); ++i) {
-    EXPECT_LE(std::get<double>(merged.keys[i - 1][0]),
-              std::get<double>(merged.keys[i][0]));
+  for (size_t i = 1; i < merged.size(); ++i) {
+    EXPECT_LE(std::get<double>(merged.Cell(0, i - 1)),
+              std::get<double>(merged.Cell(0, i)));
   }
   EXPECT_NEAR(std::get<double>((*merged.KeyAtQuantile(0.25))[0]), 25.0, 5.0);
   EXPECT_NEAR(std::get<double>((*merged.KeyAtQuantile(0.75))[0]), 75.0, 5.0);
@@ -205,8 +208,8 @@ TEST(Quantile, CompactionCapsSummaryAndConservesWeight) {
     sampled_rows += part.TotalWeight();
     merged = sketch.Merge(merged, part);
   }
-  EXPECT_LE(merged.keys.size(), 1000u);
-  ASSERT_EQ(merged.weights.size(), merged.keys.size());
+  EXPECT_LE(merged.size(), 1000u);
+  ASSERT_EQ(merged.weights.size(), merged.columns[0].words.size());
   // KLL compaction doubles survivor weights instead of dropping rank mass:
   // the total weight is exactly the number of sampled rows.
   EXPECT_EQ(merged.TotalWeight(), sampled_rows);
@@ -229,7 +232,7 @@ TEST(Quantile, CompactedSummaryStaysAccurate) {
     merged = sketch.Merge(
         merged, sketch.Summarize(*MakeDoubleTable("x", chunk), 40 + part++));
   }
-  EXPECT_LE(merged.keys.size(), 512u);
+  EXPECT_LE(merged.size(), 512u);
   EXPECT_EQ(merged.TotalWeight(), 100000u);
   for (double q : {0.1, 0.25, 0.5, 0.75, 0.9}) {
     double value = std::get<double>((*merged.KeyAtQuantile(q))[0]);
@@ -262,6 +265,248 @@ TEST(Quantile, MergeSubsamplesMismatchedRatesToCommonRate) {
   QuantileResult swapped = sparse.Merge(right, left);
   EXPECT_DOUBLE_EQ(swapped.rate, 0.05);
   EXPECT_NEAR(std::get<double>((*swapped.KeyAtQuantile(0.5))[0]), 50.0, 6.0);
+}
+
+/// Every item's key of a quantile summary, materialized.
+std::vector<std::vector<Value>> QuantileKeys(const QuantileResult& r) {
+  std::vector<std::vector<Value>> keys;
+  for (size_t i = 0; i < r.size(); ++i) keys.push_back(r.Key(i));
+  return keys;
+}
+
+QuantileResult WireRoundTrip(const QuantileResult& r) {
+  ByteWriter w;
+  r.Serialize(&w);
+  std::vector<uint8_t> bytes = w.Take();
+  ByteReader reader(bytes);
+  QuantileResult out;
+  EXPECT_TRUE(QuantileResult::Deserialize(&reader, &out).ok());
+  EXPECT_TRUE(reader.AtEnd());
+  return out;
+}
+
+/// Five columns covering every kind a key column holds — ints, doubles
+/// (NaN, which the column folds to missing, ±inf and ±0.0), dates (including
+/// the int64 extremes), strings and categories — each with missing cells,
+/// and few distinct values so keys tie across columns.
+TablePtr OracleTable(uint32_t rows, uint64_t seed) {
+  static const double kDoubles[] = {std::numeric_limits<double>::quiet_NaN(),
+                                    std::numeric_limits<double>::infinity(),
+                                    -std::numeric_limits<double>::infinity(),
+                                    -0.0, 0.0, -2.5, 1.5, 1e300};
+  static const int64_t kDates[] = {std::numeric_limits<int64_t>::min(),
+                                   -86400000, 0, 1577836800000,
+                                   std::numeric_limits<int64_t>::max()};
+  static const char* kStrings[] = {"", "a", "ab", "b", "zz"};
+  static const char* kCategories[] = {"A", "B", "C"};
+  Random rng(seed);
+  ColumnBuilder i(DataKind::kInt), d(DataKind::kDouble), t(DataKind::kDate),
+      s(DataKind::kString), c(DataKind::kCategory);
+  auto missing = [&rng] { return rng.NextUint64(8) == 0; };
+  for (uint32_t r = 0; r < rows; ++r) {
+    if (missing()) {
+      i.AppendMissing();
+    } else {
+      i.AppendInt(static_cast<int32_t>(rng.NextUint64(7)) - 3);
+    }
+    if (missing()) {
+      d.AppendMissing();
+    } else {
+      d.AppendDouble(kDoubles[rng.NextUint64(std::size(kDoubles))]);
+    }
+    if (missing()) {
+      t.AppendMissing();
+    } else {
+      t.AppendDate(kDates[rng.NextUint64(std::size(kDates))]);
+    }
+    if (missing()) {
+      s.AppendMissing();
+    } else {
+      s.AppendString(kStrings[rng.NextUint64(std::size(kStrings))]);
+    }
+    if (missing()) {
+      c.AppendMissing();
+    } else {
+      c.AppendString(kCategories[rng.NextUint64(std::size(kCategories))]);
+    }
+  }
+  return Table::Create(Schema({{"i", DataKind::kInt},
+                               {"d", DataKind::kDouble},
+                               {"t", DataKind::kDate},
+                               {"s", DataKind::kString},
+                               {"c", DataKind::kCategory}}),
+                       {i.Finish(), d.Finish(), t.Finish(), s.Finish(),
+                        c.Finish()});
+}
+
+TEST(Quantile, UncompactedSummaryIsTheBruteForceSortCellForCell) {
+  // At rate 1 with no compaction a single-partition summary holds every
+  // member row, sorted: it must equal the RowComparator sort of those rows,
+  // cell for cell, for orders of 1 to 5 columns (5 is the scroll bar's
+  // usual shape) in both directions, on a dense membership (the keyed
+  // sort) and a sparse one (the comparator sort).
+  const char* kColumns[] = {"i", "d", "t", "s", "c"};
+  TablePtr full = OracleTable(600, 0x0AC1E);
+  for (int width = 1; width <= 5; ++width) {
+    for (uint64_t variant = 0; variant < 6; ++variant) {
+      Random rng(MixSeed(width, variant));
+      std::vector<std::string> names(std::begin(kColumns),
+                                     std::end(kColumns));
+      for (size_t z = names.size() - 1; z > 0; --z) {
+        std::swap(names[z], names[rng.NextUint64(z + 1)]);
+      }
+      std::vector<ColumnSortOrientation> orientations;
+      for (int z = 0; z < width; ++z) {
+        orientations.push_back({names[z], rng.NextUint64(2) == 0});
+      }
+      RecordOrder order(orientations);
+      const uint32_t stride = variant % 2 == 0 ? 1 : 20;
+      auto member = [stride](uint32_t row) { return row % stride == 0; };
+      TablePtr table = full->Filter(member);
+
+      QuantileSketch sketch(order, /*rate=*/1.0, /*max_size=*/1 << 20);
+      QuantileResult result = sketch.Summarize(*table, variant);
+
+      std::vector<uint32_t> rows;
+      for (uint32_t row = 0; row < full->num_rows(); ++row) {
+        if (member(row)) rows.push_back(row);
+      }
+      RowComparator comparator(*table, order);
+      std::sort(rows.begin(), rows.end(), [&](uint32_t a, uint32_t b) {
+        return comparator.Less(a, b);
+      });
+      const std::vector<std::string> order_names = order.ColumnNames();
+      std::vector<std::vector<Value>> expected;
+      for (uint32_t row : rows) {
+        expected.push_back(table->GetRow(row, order_names));
+      }
+
+      SCOPED_TRACE("width " + std::to_string(width) + ", variant " +
+                   std::to_string(variant));
+      ASSERT_EQ(result.weights, std::vector<uint64_t>(rows.size(), 1));
+      ASSERT_EQ(QuantileKeys(result), expected);
+      for (int step = 0; step <= 20; ++step) {
+        const double q = step / 20.0;
+        // The midpoint rule: round(q * (n - 1)).
+        const size_t idx = static_cast<size_t>(q * (rows.size() - 1) + 0.5);
+        EXPECT_EQ(result.KeyAtQuantile(q), expected[idx]) << "q " << q;
+      }
+      EXPECT_EQ(QuantileKeys(WireRoundTrip(result)), expected);
+    }
+  }
+}
+
+/// Keys of `a` then `b` merged the way Merge must merge them: stably under
+/// CompareQuantileKeys, so a tie keeps the left key first.
+std::vector<std::vector<Value>> StableMergedKeys(const QuantileResult& a,
+                                                 const QuantileResult& b,
+                                                 const RecordOrder& order) {
+  std::vector<std::vector<Value>> ka = QuantileKeys(a), kb = QuantileKeys(b);
+  std::vector<std::vector<Value>> out;
+  std::merge(ka.begin(), ka.end(), kb.begin(), kb.end(),
+             std::back_inserter(out),
+             [&order](const std::vector<Value>& x, const std::vector<Value>& y) {
+               return CompareQuantileKeys(order, x, y) < 0;
+             });
+  return out;
+}
+
+/// Merges summaries of two partitions whose loaders inferred different
+/// kinds for column "x" ("y" is double in both and breaks ties), in both
+/// directions and both operand orders, and checks the merge against the
+/// stable merge of the materialized keys, through the wire too.
+void ExpectMixedKindMergeKeepsOrder(const TablePtr& a, const TablePtr& b) {
+  for (bool ascending : {true, false}) {
+    RecordOrder order({{"x", ascending}, {"y", true}});
+    QuantileSketch sketch(order, /*rate=*/1.0, /*max_size=*/1 << 20);
+    QuantileResult sa = sketch.Summarize(*a, 1);
+    QuantileResult sb = sketch.Summarize(*b, 2);
+    for (int swap = 0; swap < 2; ++swap) {
+      const QuantileResult& left = swap ? sb : sa;
+      const QuantileResult& right = swap ? sa : sb;
+      SCOPED_TRACE(std::string(ascending ? "ascending" : "descending") +
+                   (swap ? ", swapped" : ""));
+      QuantileResult merged = sketch.Merge(left, right);
+      EXPECT_EQ(QuantileKeys(merged), StableMergedKeys(left, right, order));
+      EXPECT_EQ(QuantileKeys(WireRoundTrip(merged)), QuantileKeys(merged));
+    }
+  }
+}
+
+TEST(Quantile, MergesIntKindWithDoubleKindInValueOrder) {
+  // csv and jsonl infer kinds per file: an int 3 and a double 3.0 tie on x
+  // (CompareValues compares them as numbers) and y decides, while the keys
+  // (2, 1.0) and (2.0, 1.0) tie whole and the left one goes first; each cell
+  // keeps its own kind in the merged summary.
+  ColumnBuilder ax(DataKind::kInt), ay(DataKind::kDouble);
+  ColumnBuilder bx(DataKind::kDouble), by(DataKind::kDouble);
+  for (int v : {3, -7, 2, 3}) ax.AppendInt(v);
+  ax.AppendMissing();
+  for (double v : {0.5, 1.0, 1.0, -1.0, 4.0}) ay.AppendDouble(v);
+  for (double v : {2.5, 3.0, -std::numeric_limits<double>::infinity(), 2.0,
+                   1e300}) {
+    bx.AppendDouble(v);
+  }
+  bx.AppendMissing();
+  for (double v : {1.0, 0.0, 3.0, 1.0, 2.0, 4.0}) by.AppendDouble(v);
+  Schema a_schema({{"x", DataKind::kInt}, {"y", DataKind::kDouble}});
+  Schema b_schema({{"x", DataKind::kDouble}, {"y", DataKind::kDouble}});
+  ExpectMixedKindMergeKeepsOrder(
+      Table::Create(a_schema, {ax.Finish(), ay.Finish()}),
+      Table::Create(b_schema, {bx.Finish(), by.Finish()}));
+}
+
+TEST(Quantile, MergesNumbersWithStringsInValueOrder) {
+  // Numbers sort before strings, strings before missing.
+  ColumnBuilder ax(DataKind::kInt), ay(DataKind::kDouble);
+  ColumnBuilder bx(DataKind::kString), by(DataKind::kDouble);
+  for (int v : {5, 1, 5}) ax.AppendInt(v);
+  ax.AppendMissing();
+  for (double v : {1.0, 2.0, 0.0, 1.0}) ay.AppendDouble(v);
+  for (const char* v : {"10", "abc", "", "abc"}) bx.AppendString(v);
+  bx.AppendMissing();
+  for (double v : {1.0, 0.5, 2.0, 3.0, 0.0}) by.AppendDouble(v);
+  Schema a_schema({{"x", DataKind::kInt}, {"y", DataKind::kDouble}});
+  Schema b_schema({{"x", DataKind::kString}, {"y", DataKind::kDouble}});
+  ExpectMixedKindMergeKeepsOrder(
+      Table::Create(a_schema, {ax.Finish(), ay.Finish()}),
+      Table::Create(b_schema, {bx.Finish(), by.Finish()}));
+}
+
+TEST(Quantile, ColumnsOfOneClassDropTheirClassArray) {
+  // A double column whose sampled cells are all missing holds one class,
+  // missing, so it ships no class per cell; an empty int partition merged
+  // with a double one leaves a column of doubles only.
+  ColumnBuilder ax(DataKind::kDouble), ay(DataKind::kInt);
+  ColumnBuilder bx(DataKind::kDouble), by(DataKind::kInt);
+  ColumnBuilder ex(DataKind::kInt), ey(DataKind::kInt);
+  for (int r = 0; r < 4; ++r) {
+    ax.AppendMissing();
+    ay.AppendInt(r);
+    bx.AppendDouble(0.5 * r);
+    by.AppendInt(r);
+  }
+  Schema doubles({{"x", DataKind::kDouble}, {"y", DataKind::kInt}});
+  Schema ints({{"x", DataKind::kInt}, {"y", DataKind::kInt}});
+  RecordOrder order({{"x", true}, {"y", true}});
+  QuantileSketch sketch(order, /*rate=*/1.0, /*max_size=*/1 << 20);
+
+  QuantileResult missing = sketch.Summarize(
+      *Table::Create(doubles, {ax.Finish(), ay.Finish()}), 1);
+  EXPECT_EQ(missing.columns[0].kind, KeyClass::kMissing);
+  EXPECT_TRUE(missing.columns[0].classes.empty());
+  for (size_t i = 0; i < missing.size(); ++i) {
+    EXPECT_EQ(missing.Cell(0, i), Value(std::monostate{}));
+  }
+
+  QuantileResult present = sketch.Summarize(
+      *Table::Create(doubles, {bx.Finish(), by.Finish()}), 2);
+  QuantileResult empty = sketch.Summarize(
+      *Table::Create(ints, {ex.Finish(), ey.Finish()}), 3);
+  QuantileResult merged = sketch.Merge(empty, present);
+  EXPECT_EQ(merged.columns[0].kind, KeyClass::kDouble);
+  EXPECT_TRUE(merged.columns[0].classes.empty());
+  EXPECT_EQ(QuantileKeys(merged), QuantileKeys(present));
 }
 
 // --- KLL core -------------------------------------------------------------------

@@ -250,12 +250,20 @@ bool EqKeyLists(const std::vector<std::vector<Value>>& a,
   return true;
 }
 
+/// Every item's key of a quantile summary, materialized.
+std::vector<std::vector<Value>> QuantileKeys(const QuantileResult& r) {
+  std::vector<std::vector<Value>> keys;
+  keys.reserve(r.size());
+  for (size_t i = 0; i < r.size(); ++i) keys.push_back(r.Key(i));
+  return keys;
+}
+
 bool EqQuantile(const QuantileResult& a, const QuantileResult& b,
                 std::string* why) {
   EQ_FIELD(rate);
   EQ_FIELD(max_size);
   EQ_FIELD(weights);
-  return EqKeyLists(a.keys, b.keys, why);
+  return EqKeyLists(QuantileKeys(a), QuantileKeys(b), why);
 }
 
 bool EqBottomK(const BottomKResult& a, const BottomKResult& b,
@@ -613,15 +621,17 @@ TEST(SketchProperty, QuantileDistributes) {
 // CDFs must agree within a KS-style two-sample bound plus each summary's own
 // compaction error ledger.
 
-/// Fraction of `r`'s total weight strictly below `key` (ranked by the
-/// production CompareQuantileKeys, so the oracle cannot drift from the
-/// order the sketch actually sorts by).
-double WeightedFractionBelow(const QuantileResult& r, const RecordOrder& order,
+/// Fraction of a summary's total weight (its materialized `keys` with their
+/// `weights`) strictly below `key`, ranked by CompareQuantileKeys, the
+/// reference order the sketch's column-wise compares must reproduce.
+double WeightedFractionBelow(const std::vector<std::vector<Value>>& keys,
+                             const std::vector<uint64_t>& weights,
+                             const RecordOrder& order,
                              const std::vector<Value>& key) {
   uint64_t below = 0, total = 0;
-  for (size_t i = 0; i < r.keys.size(); ++i) {
-    total += r.weights[i];
-    if (CompareQuantileKeys(order, r.keys[i], key) < 0) below += r.weights[i];
+  for (size_t i = 0; i < keys.size(); ++i) {
+    total += weights[i];
+    if (CompareQuantileKeys(order, keys[i], key) < 0) below += weights[i];
   }
   return total == 0 ? 0.0 : static_cast<double>(below) / total;
 }
@@ -630,15 +640,15 @@ double WeightedFractionBelow(const QuantileResult& r, const RecordOrder& order,
 /// every retained key of either summary (where the sup is attained).
 double QuantileRankDistance(const QuantileResult& a, const QuantileResult& b,
                             const RecordOrder& order) {
+  const std::vector<std::vector<Value>> a_keys = QuantileKeys(a);
+  const std::vector<std::vector<Value>> b_keys = QuantileKeys(b);
+  auto distance_at = [&](const std::vector<Value>& key) {
+    return std::abs(WeightedFractionBelow(a_keys, a.weights, order, key) -
+                    WeightedFractionBelow(b_keys, b.weights, order, key));
+  };
   double d = 0;
-  for (const auto& key : a.keys) {
-    d = std::max(d, std::abs(WeightedFractionBelow(a, order, key) -
-                             WeightedFractionBelow(b, order, key)));
-  }
-  for (const auto& key : b.keys) {
-    d = std::max(d, std::abs(WeightedFractionBelow(a, order, key) -
-                             WeightedFractionBelow(b, order, key)));
-  }
+  for (const auto& key : a_keys) d = std::max(d, distance_at(key));
+  for (const auto& key : b_keys) d = std::max(d, distance_at(key));
   return d;
 }
 
@@ -707,7 +717,7 @@ TEST(SketchPropertyStatistical, SampledQuantileMergesWithinRankBound) {
     // Compaction redistributes weight but never loses it (equal rates, so
     // no subsample fires): the merge-tree shape cannot shrink the sample.
     ASSERT_EQ(merged.TotalWeight(), partial_weight) << "case " << c;
-    ASSERT_LE(merged.keys.size(), static_cast<size_t>(budget)) << "case " << c;
+    ASSERT_LE(merged.size(), static_cast<size_t>(budget)) << "case " << c;
 
     std::vector<int> perm(k);
     std::iota(perm.begin(), perm.end(), 0);

@@ -639,8 +639,9 @@ TEST(SortKeyPacked, StartKeyBandPartitionsRows) {
         auto band = plan.EncodeStartKey(key);
         if (!band.has_value()) continue;  // fallback path, always correct
         EXPECT_LE(band->below, band->above);
+        RowKeyComparator cmp(*table, order, key);
         for (uint32_t r = 0; r < kRows; ++r) {
-          int ref = CompareRowToKey(*table, order, r, key);
+          int ref = cmp.Compare(r);
           uint64_t rk = plan.keys()[r];
           if (rk < band->below) {
             EXPECT_LT(ref, 0) << "wide=" << second_wide << " asc=" << asc_a
@@ -703,9 +704,9 @@ TEST(SortKey, StartCellThresholdPartitionsRows) {
       for (const Value& v : candidates) {
         auto enc = plan.EncodeStartCell(v);
         if (!enc.has_value()) continue;  // fallback path, always correct
-        std::vector<Value> key{v};
+        RowKeyComparator cmp(*table, order, {v});
         for (uint32_t r = 0; r < kRows; ++r) {
-          int ref = CompareRowToKey(*table, order, r, key);
+          int ref = cmp.Compare(r);
           uint64_t rk = plan.keys()[r];
           if (rk < *enc) {
             EXPECT_LT(ref, 0) << "kind=" << static_cast<int>(kind)

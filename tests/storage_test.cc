@@ -280,10 +280,10 @@ TEST(RowOrder, ComparatorHonorsDirectionAndTies) {
 TEST(RowOrder, CompareRowToKey) {
   TablePtr t = MakeIntTable("n", {5, 10, 15});
   RecordOrder order({{"n", true}});
-  std::vector<Value> key = {Value(int64_t{10})};
-  EXPECT_LT(CompareRowToKey(*t, order, 0, key), 0);
-  EXPECT_EQ(CompareRowToKey(*t, order, 1, key), 0);
-  EXPECT_GT(CompareRowToKey(*t, order, 2, key), 0);
+  RowKeyComparator cmp(*t, order, {Value(int64_t{10})});
+  EXPECT_LT(cmp.Compare(0), 0);
+  EXPECT_EQ(cmp.Compare(1), 0);
+  EXPECT_GT(cmp.Compare(2), 0);
 }
 
 TEST(Csv, RoundTrip) {

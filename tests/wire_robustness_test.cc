@@ -25,6 +25,7 @@
 #include "sketch/range_moments.h"
 #include "sketch/save_as.h"
 #include "sketch/string_quantiles.h"
+#include "storage/sort_key.h"
 #include "util/random.h"
 #include "util/serialize.h"
 
@@ -133,20 +134,49 @@ TEST(WireRobustness, HyperLogLog) {
   CheckWire(hll, "HllResult");
 }
 
+/// One string cell's word: `offset << 32 | length` into the summary's pool.
+uint64_t PoolView(uint64_t offset, uint64_t length) {
+  return offset << 32 | length;
+}
+
 TEST(WireRobustness, Quantile) {
+  // Keys (1.5, "aa"), (-4, missing), (3.25, "zz"): an int and doubles in
+  // one column, strings and a missing cell in the other, so both columns
+  // carry per-cell classes.
   QuantileResult q;
-  q.keys = {{Value(1.5), Value(std::string("aa"))},
-            {Value(static_cast<int64_t>(-4)), Value(std::monostate{})},
-            {Value(3.25), Value(std::string("zz"))}};
+  q.pool = "aazz";
+  QuantileColumn numbers;
+  numbers.classes = {KeyClass::kDouble, KeyClass::kInt, KeyClass::kDouble};
+  numbers.words = {EncodeF64(1.5), EncodeI64(-4), EncodeF64(3.25)};
+  QuantileColumn strings;
+  strings.classes = {KeyClass::kString, KeyClass::kMissing, KeyClass::kString};
+  strings.words = {PoolView(0, 2), 0, PoolView(2, 2)};
+  q.columns = {numbers, strings};
   q.weights = {1, 1, 1};  // unit weights serialize in the elided form
   q.rate = 0.25;
   q.max_size = 100;
   CheckWire(q, "QuantileResult");
+
+  ByteWriter w;
+  q.Serialize(&w);
+  std::vector<uint8_t> bytes = w.Take();
+  ByteReader r(bytes);
+  QuantileResult out;
+  ASSERT_TRUE(QuantileResult::Deserialize(&r, &out).ok());
+  EXPECT_EQ(out.Key(0),
+            (std::vector<Value>{Value(1.5), Value(std::string("aa"))}));
+  EXPECT_EQ(out.Key(1),
+            (std::vector<Value>{Value(int64_t{-4}), Value(std::monostate{})}));
+  EXPECT_EQ(out.Key(2),
+            (std::vector<Value>{Value(3.25), Value(std::string("zz"))}));
 }
 
 TEST(WireRobustness, QuantileWeighted) {
   QuantileResult q;
-  q.keys = {{Value(1.5)}, {Value(2.5)}, {Value(9.0)}};
+  QuantileColumn doubles;
+  doubles.kind = KeyClass::kDouble;
+  doubles.words = {EncodeF64(1.5), EncodeF64(2.5), EncodeF64(9.0)};
+  q.columns = {doubles};
   q.weights = {1, 4, 2};  // a compacted summary carries explicit weights
   q.rate = 0.5;
   q.max_size = 3;
@@ -167,20 +197,62 @@ TEST(WireRobustness, QuantileWeighted) {
   EXPECT_DOUBLE_EQ(out.error.variance, q.error.variance);
 }
 
+/// One hand-built column of a quantile payload: its tag (a KeyClass, or 4
+/// for per-cell classes, which are then written), its classes and words.
+struct WireColumn {
+  uint8_t tag;
+  std::vector<uint8_t> classes;
+  std::vector<uint64_t> words;
+};
+
+constexpr uint8_t kPerCellTag = 4;
+
+/// Serializes a quantile payload in the column-wise layout from raw parts,
+/// so each guard can be hit in isolation: `items` need not match the
+/// columns, and `exponents` (empty: unit weights, elided) travel as given.
+std::vector<uint8_t> QuantileBytes(uint32_t items, const std::string& pool,
+                                   const std::vector<WireColumn>& columns,
+                                   const std::vector<uint8_t>& exponents,
+                                   double rate = 0.5, int32_t max_size = 8,
+                                   double error_variance = 0.0,
+                                   uint64_t error_worst = 0,
+                                   bool magic = true) {
+  ByteWriter w;
+  if (magic) w.WriteU32(0x4B4C4C32);  // the column-wise format's magic
+  w.WriteU32(items);
+  w.WriteU32(static_cast<uint32_t>(columns.size()));
+  w.WriteBool(!exponents.empty());
+  w.WriteString(pool);
+  for (const WireColumn& column : columns) {
+    w.WriteU8(column.tag);
+    if (column.tag == kPerCellTag) w.WritePodVector(column.classes);
+    w.WritePodVector(column.words);
+  }
+  for (uint8_t exponent : exponents) w.WriteU8(exponent);
+  w.WriteDouble(rate);
+  w.WriteI32(max_size);
+  w.WriteU64(/*seed=*/1);
+  w.WriteU64(error_worst);
+  w.WriteDouble(error_variance);
+  return w.Take();
+}
+
+/// A double column holding 0, 1, 2, ... — `n` well-formed cells.
+WireColumn DoubleColumn(size_t n) {
+  WireColumn column{static_cast<uint8_t>(KeyClass::kDouble), {}, {}};
+  for (size_t i = 0; i < n; ++i) {
+    column.words.push_back(EncodeF64(static_cast<double>(i)));
+  }
+  return column;
+}
+
 TEST(WireRobustness, QuantileWithoutMagicWordIsRejected) {
   // Summaries are soft state and never persisted, so every quantile payload
-  // opens with the magic word. One that does not — here a count-first
-  // layout of keys, rate and max_size — is rejected whole and at every
-  // prefix.
-  ByteWriter w;
-  w.WriteU32(2);
-  w.WriteU32(1);
-  SerializeValue(Value(4.25), &w);
-  w.WriteU32(1);
-  SerializeValue(Value(7.5), &w);
-  w.WriteDouble(0.125);
-  w.WriteI32(64);
-  std::vector<uint8_t> bytes = w.Take();
+  // opens with the magic word. One that does not — here the column-wise
+  // layout of two keys without it — is rejected whole and at every prefix.
+  std::vector<uint8_t> bytes =
+      QuantileBytes(2, "", {DoubleColumn(2)}, {}, 0.125, 64, 0.0, 0,
+                    /*magic=*/false);
 
   for (size_t len = 0; len <= bytes.size(); ++len) {
     ByteReader prefix(bytes.data(), len);
@@ -197,21 +269,9 @@ std::vector<uint8_t> WeightedQuantileBytes(double rate, int32_t max_size,
                                            std::vector<uint8_t> exponents,
                                            double error_variance,
                                            uint64_t error_worst = 0) {
-  ByteWriter w;
-  w.WriteU32(0x4B4C4C31);  // the weighted-format magic
-  w.WriteU32(static_cast<uint32_t>(exponents.size()));
-  w.WriteBool(true);  // explicit weights follow the keys
-  for (size_t i = 0; i < exponents.size(); ++i) {
-    w.WriteU32(1);
-    SerializeValue(Value(static_cast<double>(i)), &w);
-  }
-  for (uint8_t exponent : exponents) w.WriteU8(exponent);
-  w.WriteDouble(rate);
-  w.WriteI32(max_size);
-  w.WriteU64(/*seed=*/1);
-  w.WriteU64(error_worst);
-  w.WriteDouble(error_variance);
-  return w.Take();
+  const uint32_t n = static_cast<uint32_t>(exponents.size());
+  return QuantileBytes(n, "", {DoubleColumn(n)}, exponents, rate, max_size,
+                       error_variance, error_worst);
 }
 
 TEST(WireRobustness, QuantileRejectsHostileScalars) {
@@ -246,6 +306,82 @@ TEST(WireRobustness, QuantileRejectsHostileScalars) {
   ASSERT_TRUE(QuantileResult::Deserialize(&gr, &ok).ok());
   EXPECT_TRUE(gr.AtEnd());
   EXPECT_EQ(ok.weights, (std::vector<uint64_t>{1, 2}));
+}
+
+TEST(WireRobustness, QuantileRejectsMalformedColumns) {
+  auto reject = [](const std::vector<uint8_t>& bytes, StatusCode code,
+                   const char* what) {
+    ByteReader r(bytes);
+    QuantileResult out;
+    Status st = QuantileResult::Deserialize(&r, &out);
+    ASSERT_FALSE(st.ok()) << what;
+    EXPECT_EQ(st.code(), code) << what;
+  };
+  const auto kInt = static_cast<uint8_t>(KeyClass::kInt);
+  const auto kString = static_cast<uint8_t>(KeyClass::kString);
+  const auto kMissing = static_cast<uint8_t>(KeyClass::kMissing);
+  const WireColumn ints{kInt, {}, {EncodeI64(-2), EncodeI64(7)}};
+  const WireColumn strings{
+      kPerCellTag, {kString, kMissing}, {PoolView(1, 2), 0}};
+
+  // A valid three-column payload: the hand-built bytes are exactly what
+  // Serialize writes, it parses, and every strict prefix is rejected.
+  std::vector<uint8_t> valid =
+      QuantileBytes(2, "abc", {ints, strings, DoubleColumn(2)}, {});
+  {
+    ByteReader r(valid);
+    QuantileResult out;
+    ASSERT_TRUE(QuantileResult::Deserialize(&r, &out).ok());
+    EXPECT_TRUE(r.AtEnd());
+    EXPECT_EQ(out.Key(0), (std::vector<Value>{Value(int64_t{-2}),
+                                              Value(std::string("bc")),
+                                              Value(0.0)}));
+    ByteWriter w;
+    out.Serialize(&w);
+    EXPECT_EQ(w.bytes(), valid);
+  }
+  for (size_t len = 0; len < valid.size(); ++len) {
+    ByteReader prefix(valid.data(), len);
+    QuantileResult out;
+    EXPECT_FALSE(QuantileResult::Deserialize(&prefix, &out).ok())
+        << "valid payload parsed OK truncated to " << len;
+  }
+
+  const StatusCode kInvalid = StatusCode::kInvalidArgument;
+  reject(QuantileBytes(3, "abc", {ints, strings}, {}), kInvalid,
+         "column length differs from the item count");
+  reject(QuantileBytes(2, "abc",
+                       {ints, {kPerCellTag, {kString}, {PoolView(1, 2), 0}}},
+                       {}),
+         kInvalid, "class array length differs from the item count");
+  reject(QuantileBytes(2, "", {{5, {}, {0, 0}}}, {}), kInvalid,
+         "unknown column tag");
+  reject(QuantileBytes(2, "", {{kPerCellTag, {kInt, 9}, {0, 0}}}, {}),
+         kInvalid, "unknown cell class");
+  reject(QuantileBytes(2, "abc", {{kString, {}, {PoolView(0, 3),
+                                                  PoolView(2, 2)}}},
+                       {}),
+         kInvalid, "string view running past the pool");
+  reject(QuantileBytes(2, "abc", {{kString, {}, {PoolView(0, 3),
+                                                  PoolView(9, 0)}}},
+                       {}),
+         kInvalid, "string view starting past the pool");
+  reject(QuantileBytes(2, "", {{kMissing, {}, {0, 1}}}, {}), kInvalid,
+         "missing cell with a word");
+  const auto kDouble = static_cast<uint8_t>(KeyClass::kDouble);
+  const uint64_t nan_word =
+      EncodeF64(1.0) | 0x7FF8000000000000;  // quiet NaN bits, sign clear
+  reject(QuantileBytes(2, "", {{kDouble, {}, {EncodeF64(1.0), nan_word}}},
+                       {}),
+         kInvalid, "NaN double word");
+  reject(QuantileBytes(2, "",
+                       {{kDouble, {}, {EncodeF64(1.0), ~(uint64_t{1} << 63)}}},
+                       {}),
+         kInvalid, "-0.0 double word");
+  reject(QuantileBytes(1000, "", {ints}, {}), StatusCode::kOutOfRange,
+         "item count whose columns cannot fit in the remaining bytes");
+  reject(QuantileBytes(2, "", {}, {}), StatusCode::kOutOfRange,
+         "items without columns or weights");
 }
 
 TEST(WireRobustness, BottomKStrings) {
