@@ -475,6 +475,29 @@ void BM_NextItemsTwoColumnPacked(benchmark::State& state) {
 }
 BENCHMARK(BM_NextItemsTwoColumnPacked)->Unit(benchmark::kMillisecond);
 
+// O4's shape: a scroll to the median of a packed two-column order, with the
+// keys resident in the worker's cache. Half the rows fall below the start key
+// and are counted; only the rows between the start key and the page's last
+// kept key reach the top-K.
+void BM_NextItemsTwoColumnPackedStartKey(benchmark::State& state) {
+  TablePtr t = MakeTwoColumnData();
+  // a is uniform over [0, 200) and b over [0, 10^6): (100, 500000) is the
+  // median key.
+  NextItemsSketch sketch(
+      RecordOrder({{"a", true}, {"b", true}}), {},
+      std::vector<Value>{Value(int64_t{100}), Value(int64_t{500'000})}, 100);
+  SortKeyCache cache;
+  SketchContext context;
+  context.key_cache = [&cache] { return &cache; };
+  benchmark::DoNotOptimize(sketch.Summarize(*t, 0, context).rows.data());
+  for (auto _ : state) {
+    NextItemsResult r = sketch.Summarize(*t, 0, context);
+    benchmark::DoNotOptimize(r.rows.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kSortRows);
+}
+BENCHMARK(BM_NextItemsTwoColumnPackedStartKey)->Unit(benchmark::kMillisecond);
+
 void BM_NextItemsTwoColumnVirtualReference(benchmark::State& state) {
   TablePtr t = MakeTwoColumnData();
   RecordOrder order({{"a", true}, {"b", true}});

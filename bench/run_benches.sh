@@ -10,7 +10,9 @@
 #   --compare  after the run, diff each fresh BENCH json against the most
 #              recent *earlier-dated* entry in <out-dir>/history/ and print
 #              per-bench deltas (also written to <out-dir>/BENCH_DIFF.txt,
-#              which CI uploads as an artifact)
+#              which CI uploads as an artifact); a baseline recorded under
+#              another machine context (or none) prints
+#              "context differs (<field>: old → new)" instead of deltas
 #
 # Environment:
 #   BENCH_ONLY            substring filter (comma-separated alternatives):
@@ -20,7 +22,9 @@
 #
 # Google-Benchmark-based binaries (bench_single_thread) emit their native
 # JSON via --benchmark_out; the self-driving main() benches are wrapped in a
-# JSON envelope carrying exit code, wall time, scale and captured stdout.
+# JSON envelope carrying exit code, wall time and captured stdout. Both
+# flavors record where they ran in a "context" object: nproc, the scan
+# kernel level (simd), the CMake build type and the dataset scale.
 #
 # Every result is also appended as a dated copy under <out-dir>/history/
 # (<YYYY-MM-DD>_BENCH_<name>.json), so committing bench-results/ accumulates
@@ -100,7 +104,7 @@ archive_json() {
 wrap_json() {
   python3 - "$@" <<'EOF'
 import json, sys
-name, exit_code, seconds, scale, stdout_path, out_path = sys.argv[1:7]
+name, exit_code, seconds, context, stdout_path, out_path = sys.argv[1:7]
 with open(stdout_path, encoding="utf-8", errors="replace") as f:
     lines = f.read().splitlines()
 metrics = {}
@@ -115,7 +119,7 @@ doc = {
     "bench": name,
     "exit_code": int(exit_code),
     "wall_seconds": float(seconds),
-    "scale": float(scale),
+    "context": json.loads(context),
     "stdout": lines,
 }
 if metrics:
@@ -126,7 +130,39 @@ with open(out_path, "w", encoding="utf-8") as f:
 EOF
 }
 
+# Adds the machine context to a Google Benchmark JSON's own context object.
+stamp_context() {
+  python3 - "$@" <<'EOF'
+import json, sys
+path, context = sys.argv[1:3]
+with open(path, encoding="utf-8") as f:
+    doc = json.load(f)
+doc.setdefault("context", {}).update(json.loads(context))
+with open(path, "w", encoding="utf-8") as f:
+    json.dump(doc, f, indent=2)
+    f.write("\n")
+EOF
+}
+
 scale=${HILLVIEW_BENCH_SCALE:-1}
+# Where the results ran. The kernel level follows the scan dispatcher's rule
+# (storage/simd_kernels.cc): AVX2 when the CPU has it, unless
+# HILLVIEW_FORCE_SCALAR is set to anything but "" or "0".
+force_scalar=${HILLVIEW_FORCE_SCALAR:-}
+if [ -n "$force_scalar" ] && [ "$force_scalar" != "0" ]; then
+  simd=scalar
+elif grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
+  simd=avx2
+else
+  simd=scalar
+fi
+build_type=$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' \
+  "$BUILD_DIR/CMakeCache.txt" 2>/dev/null)
+CONTEXT=$(python3 -c '
+import json, sys
+print(json.dumps({"nproc": int(sys.argv[1]), "simd": sys.argv[2],
+                  "build_type": sys.argv[3], "scale": float(sys.argv[4])}))
+' "$(nproc)" "$simd" "${build_type:-none}" "$scale")
 failures=0
 ran=0
 
@@ -158,6 +194,7 @@ for bin in "$BENCH_BIN_DIR"/bench_*; do
       echo "   FAILED: $name" >&2
       failures=$((failures + 1))
     fi
+    [ -f "$out_json" ] && stamp_context "$out_json" "$CONTEXT"
     archive_json "$out_json"
     continue
   fi
@@ -169,7 +206,7 @@ for bin in "$BENCH_BIN_DIR"/bench_*; do
   end=$(date +%s.%N)
   seconds=$(python3 -c "print(f'{$end - $start:.3f}')")
   sed 's/^/   /' "$stdout_tmp" | tail -5
-  wrap_json "$name" "$code" "$seconds" "$scale" "$stdout_tmp" "$out_json"
+  wrap_json "$name" "$code" "$seconds" "$CONTEXT" "$stdout_tmp" "$out_json"
   archive_json "$out_json"
   rm -f "$stdout_tmp"
   if [ "$code" -ne 0 ]; then
@@ -186,7 +223,8 @@ echo "ran $ran benches; $failures failed; JSON in $OUT_DIR/"
 # against the newest history entry that predates this run (this run's own
 # just-archived copies are excluded via ARCHIVED_LIST). Google-Benchmark
 # JSONs compare per-benchmark real_time; envelope JSONs compare
-# wall_seconds.
+# wall_seconds. A baseline from another machine context is not diffed: a
+# 1-CPU debug run against a 4-CPU release run is not a speed-up.
 if [ "$COMPARE" -eq 1 ]; then
   python3 - "$OUT_DIR" "$HISTORY_DIR" "$RAN_LIST" "$ARCHIVED_LIST" <<'EOF'
 import glob, json, os, sys
@@ -206,10 +244,30 @@ def fmt_delta(new, old):
     return f"{pct:+.1f}%"
 
 
-def load_times(path):
-    """bench-point name -> (value, unit), for either JSON flavor."""
+CONTEXT_FIELDS = ("nproc", "simd", "build_type", "scale")
+
+
+def context_diffs(new_doc, old_doc):
+    """One line per context field the baseline lacks or records otherwise."""
+    new_ctx = new_doc.get("context", {})
+    old_ctx = old_doc.get("context", {})
+    out = []
+    for field in CONTEXT_FIELDS:
+        old = old_ctx.get(field)
+        if old is None or old != new_ctx.get(field):
+            old_text = "none" if old is None else old
+            out.append(f"   context differs ({field}: {old_text} → "
+                       f"{new_ctx.get(field)})")
+    return out
+
+
+def load(path):
     with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+        return json.load(f)
+
+
+def load_times(doc):
+    """bench-point name -> (value, unit), for either JSON flavor."""
     points = {}
     if "benchmarks" in doc:
         for b in doc["benchmarks"]:
@@ -234,9 +292,14 @@ for current in ran:
     baseline = previous[-1]
     lines.append(f"   baseline: {os.path.basename(baseline)}")
     try:
-        new, old = load_times(current), load_times(baseline)
+        new_doc, old_doc = load(current), load(baseline)
+        new, old = load_times(new_doc), load_times(old_doc)
     except (json.JSONDecodeError, KeyError, ValueError) as e:
         lines.append(f"   (unreadable: {e})")
+        continue
+    differs = context_diffs(new_doc, old_doc)
+    if differs:
+        lines.extend(differs)
         continue
     for name, (value, unit) in new.items():
         if name in old:

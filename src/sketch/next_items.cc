@@ -1,6 +1,7 @@
 #include "sketch/next_items.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "storage/scan.h"
 #include "storage/sort_key.h"
@@ -109,6 +110,13 @@ int NextItemsSketch::CompareKeys(const std::vector<Value>& a,
 
 namespace {
 
+/// Slots a top-K list can ever hold: the page plus one transient insert, and
+/// never more than the member rows, so a page size of INT_MAX reserves only
+/// what the view has.
+size_t TopKSlots(int k, uint32_t member_rows) {
+  return std::min<size_t>(static_cast<size_t>(k), member_rows) + 1;
+}
+
 /// Shared top-K state: distinct kept rows, sorted ascending under the order,
 /// with counts. Invariant: a row enters only while it is among the K smallest
 /// distinct rows seen so far; once evicted it can never re-enter, so the
@@ -117,9 +125,9 @@ struct TopKRows {
   std::vector<uint32_t> reps;
   std::vector<int64_t> counts;
 
-  explicit TopKRows(int k) {
-    reps.reserve(k + 1);
-    counts.reserve(k + 1);
+  explicit TopKRows(size_t slots) {
+    reps.reserve(slots);
+    counts.reserve(slots);
   }
 };
 
@@ -161,62 +169,111 @@ void TopKVirtual(const Table& table, const RecordOrder& order,
   });
 }
 
-/// The devirtualized fast path: rows order by a materialized 64-bit key
-/// (single-column or packed two-column) and most rows are rejected with one
-/// integer comparison against the largest kept key. Virtual comparisons run
-/// only on key ties (deep multi-column orders, inexact encodings) and on
-/// start-key boundary rows.
-void TopKKeyed(const Table& table, const RecordOrder& order,
-               const SortKeyPlan& plan,
-               const std::optional<std::vector<Value>>& start_key, int k,
-               TopKRows* top, NextItemsResult* result) {
-  KeyComparator cmp(table, plan);
-  const uint64_t* keys = plan.keys().data();
-  auto& reps = top->reps;
-  auto& counts = top->counts;
-  // Kept keys, parallel to reps, so the common reject/search paths touch a
-  // dense array instead of gathering through row ids.
-  std::vector<uint64_t> rep_keys;
-  rep_keys.reserve(k + 1);
-
-  // Start-key band: rows whose key is below it are before the start key
-  // with certainty, rows above it are after with certainty; only rows whose
-  // key lands inside the band need the full value comparison. Exact
-  // single-column encodings collapse the band to one key.
-  std::optional<RowKeyComparator> start;
-  std::optional<SortKeyPlan::StartKeyBand> band;
-  if (start_key.has_value()) {
-    start.emplace(table, order, *start_key);
-    band = plan.EncodeStartKey(*start_key);
+/// The devirtualized fast path: a scan visitor over the materialized 64-bit
+/// sort keys (single-column or packed two-column). One rule classifies every
+/// member row by its key alone:
+///
+///   key <  below            the row precedes the start key: counted in
+///                           rows_before, without a branch;
+///   below <= key <= limit   a candidate for the slow path: the band
+///                           re-compare against the start key, then the
+///                           top-K insert;
+///   key >  limit            rejected: the row follows a kept row.
+///
+/// `limit` is UINT64_MAX until K rows are kept, then the largest kept key.
+/// The three start-key cases share the rule: no start key is below = 0 with
+/// no start comparator; a start key that does not embed in the key space is
+/// the band [0, UINT64_MAX]; any other is EncodeStartKey's band.
+///
+/// Invariants that make the rule exact:
+///   - every kept key is >= below, because a kept row follows the start key;
+///     so limit >= below, and `key - below <= limit - below` is the whole
+///     candidate test in one unsigned compare;
+///   - a row above limit needs no start compare, because it follows a kept
+///     row and so the start key;
+///   - limit only falls. A block's candidate word, built with the limit at
+///     the block's start, is a superset of the true candidates, and the slow
+///     path re-checks the current limit.
+///
+/// Candidates arrive in ascending row order, so the first row of an equal
+/// group stays its representative.
+class TopKKeyed {
+ public:
+  TopKKeyed(const Table& table, const RecordOrder& order,
+            const SortKeyPlan& plan,
+            const std::optional<std::vector<Value>>& start_key, int k,
+            size_t slots, TopKRows* top)
+      : cmp_(table, plan), k_(static_cast<size_t>(k)), top_(top) {
+    rep_keys_.reserve(slots);
+    if (start_key.has_value()) {
+      start_.emplace(table, order, *start_key);
+      auto band = plan.EncodeStartKey(*start_key);
+      below_ = band.has_value() ? band->below : 0;
+      above_ = band.has_value() ? band->above : kMaxKey;
+    }
   }
 
-  ScanRows(*table.members(), 1.0, 0, [&](uint32_t row) {
-    uint64_t key = keys[row];
-    if (start.has_value()) {
-      if (band.has_value()) {
-        if (key < band->below) {
-          ++result->rows_before;
-          return;
-        }
-        if (key <= band->above && start->Compare(row) <= 0) {
-          ++result->rows_before;
-          return;
-        }
-      } else if (start->Compare(row) <= 0) {
-        ++result->rows_before;
-        return;
+  int64_t rows_before() const { return rows_before_; }
+
+  void OnValue(uint32_t row, uint64_t key) {
+    rows_before_ += key < below_;
+    if (key - below_ <= limit_ - below_) Candidate(row, key);
+  }
+
+  /// Whole runs of member rows: each 64-row candidate word is built
+  /// branch-free, then only its set bits take the slow path.
+  void OnBlock(uint32_t base, const uint64_t* keys, uint32_t n) {
+    uint32_t i = 0;
+    for (; i + 64 <= n; i += 64) {
+      uint64_t word = CandidateWord(keys + i);
+      while (word != 0) {
+        const uint32_t bit = static_cast<uint32_t>(__builtin_ctzll(word));
+        Candidate(base + i + bit, keys[i + bit]);
+        word &= word - 1;
       }
     }
-    if (static_cast<int>(reps.size()) == k && key > rep_keys.back()) {
-      return;  // beyond the K smallest: the hot reject in a sorted scroll
+    for (; i < n; ++i) OnValue(base + i, keys[i]);
+  }
+
+  /// Keys encode missing cells as ordinary words; the scan never calls this.
+  void OnMissing(uint32_t) {}
+
+ private:
+  static constexpr uint64_t kMaxKey = std::numeric_limits<uint64_t>::max();
+
+  uint64_t CandidateWord(const uint64_t* keys) {
+    const uint64_t below = below_;
+    const uint64_t span = limit_ - below_;
+    uint64_t word = 0;
+    uint32_t before = 0;
+    for (uint32_t j = 0; j < 64; ++j) {
+      before += keys[j] < below;
+      word |= static_cast<uint64_t>(keys[j] - below <= span) << j;
     }
-    // First rep whose key is >= this row's, then walk the (short) equal-key
-    // run with the tie comparator to find an exact match or the insert slot.
+    rows_before_ += before;
+    return word;
+  }
+
+  void Candidate(uint32_t row, uint64_t key) {
+    if (key > limit_) return;  // the limit fell after the word was built
+    if (key <= above_ && start_.has_value() && start_->Compare(row) <= 0) {
+      ++rows_before_;
+      return;
+    }
+    Insert(row, key);
+  }
+
+  /// First rep whose key is >= this row's, then a walk over the (short)
+  /// equal-key run with the tie comparator to find an exact match or the
+  /// insert slot.
+  void Insert(uint32_t row, uint64_t key) {
+    auto& reps = top_->reps;
+    auto& counts = top_->counts;
     size_t pos = static_cast<size_t>(
-        std::lower_bound(rep_keys.begin(), rep_keys.end(), key) -
-        rep_keys.begin());
-    while (pos < reps.size() && rep_keys[pos] == key) {
-      int c = cmp.Compare(reps[pos], row);
+        std::lower_bound(rep_keys_.begin(), rep_keys_.end(), key) -
+        rep_keys_.begin());
+    while (pos < reps.size() && rep_keys_[pos] == key) {
+      int c = cmp_.Compare(reps[pos], row);
       if (c == 0) {
         ++counts[pos];
         return;
@@ -224,17 +281,30 @@ void TopKKeyed(const Table& table, const RecordOrder& order,
       if (c > 0) break;
       ++pos;
     }
-    if (static_cast<int>(reps.size()) == k && pos == reps.size()) return;
+    if (reps.size() == k_ && pos == reps.size()) return;
     reps.insert(reps.begin() + pos, row);
-    rep_keys.insert(rep_keys.begin() + pos, key);
+    rep_keys_.insert(rep_keys_.begin() + pos, key);
     counts.insert(counts.begin() + pos, 1);
-    if (static_cast<int>(reps.size()) > k) {
+    if (reps.size() > k_) {
       reps.pop_back();
-      rep_keys.pop_back();
+      rep_keys_.pop_back();
       counts.pop_back();
     }
-  });
-}
+    if (reps.size() == k_) limit_ = rep_keys_.back();
+  }
+
+  KeyComparator cmp_;
+  size_t k_;
+  TopKRows* top_;
+  // Kept keys, parallel to reps, so the search and the limit read a dense
+  // array instead of gathering through row ids.
+  std::vector<uint64_t> rep_keys_;
+  std::optional<RowKeyComparator> start_;
+  uint64_t below_ = 0;
+  uint64_t above_ = 0;
+  uint64_t limit_ = kMaxKey;
+  int64_t rows_before_ = 0;
+};
 
 }  // namespace
 
@@ -244,7 +314,8 @@ NextItemsResult NextItemsSketch::Summarize(const Table& table, uint64_t seed,
   NextItemsResult result;
   if (k_ <= 0) return result;
 
-  TopKRows top(k_);
+  const size_t slots = TopKSlots(k_, table.num_rows());
+  TopKRows top(slots);
   // The keyed path materializes keys for the whole universe, so a cold build
   // only pays off on dense-enough tables (KeyedScanProfitable). Keys already
   // resident in the worker's sort-key cache are free, so a cache hit takes
@@ -261,7 +332,9 @@ NextItemsResult NextItemsSketch::Summarize(const Table& table, uint64_t seed,
         GetOrBuildKeys(cache, plan, /*build_allowed=*/profitable);
     if (keys != nullptr) {
       plan.AdoptKeys(std::move(keys));
-      TopKKeyed(table, order_, plan, start_key_, k_, &top, &result);
+      TopKKeyed visitor(table, order_, plan, start_key_, k_, slots, &top);
+      ScanArray(plan.keys().data(), *table.members(), visitor);
+      result.rows_before = visitor.rows_before();
       keyed = true;
     }
   }

@@ -369,6 +369,19 @@ void ScanRows(const IMembershipSet& members, double rate, uint64_t seed,
   }
 }
 
+/// Scans a plain per-row array that has no missing values (a materialized
+/// sort-key column) over `members`, through the same streaming loops as
+/// ScanColumn: runs of member rows arrive through `vis.OnBlock` when the
+/// visitor has an overload for `const T*`, partial bitmap words and sparse
+/// rows through `vis.OnValue`, in ascending row order. The visitor must
+/// still declare OnMissing, which is never called.
+template <typename T, typename Visitor>
+void ScanArray(const T* data, const IMembershipSet& members, Visitor&& vis) {
+  static const NullMask kNoNulls;
+  scan_internal::ScanTyped(data, members, kNoNulls, /*rate=*/1.0,
+                           /*seed=*/0, vis);
+}
+
 /// Scans `col` over `members` at `rate`, delivering native typed values (and
 /// the central missing policy) to `vis`. Dispatches once on layout ×
 /// membership × nulls × sampling; the selected loop has no virtual calls.
