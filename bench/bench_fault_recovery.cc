@@ -1,10 +1,13 @@
 // Fault-recovery latency and graceful degradation under fixed fault rates
-// (the robustness counterpart of the §7 latency figures). Four scenarios on
+// (the robustness counterpart of the §7 latency figures). Five scenarios on
 // one simulated deployment shape:
 //
 //   baseline   — fault-free query latency (the yardstick)
 //   restart    — a worker crash-restarts before each query; the query heals
 //                by redo-log replay (§5.7) and pays the replay + rerun
+//   stream     — the same crash before a progressive RunSketchStream, timed
+//                to its final value: a stream is the same query, so it
+//                heals the same way
 //   rpc-drop   — one worker's first summary is dropped in transit; the
 //                per-RPC deadline + retry layer heals below the query level
 //   muted      — one worker is muted for good: the first query burns its
@@ -113,6 +116,19 @@ struct Deployment {
     }
     return watch.ElapsedMillis();
   }
+
+  /// One timed stream, to its final value; returns elapsed ms.
+  double TimedStream() {
+    Stopwatch watch;
+    auto stream = root->RunSketchStream<HistogramResult>("data", MakeSketch());
+    auto last = stream->BlockingLast();
+    if (!stream->final_status().ok() || !last.has_value()) {
+      std::fprintf(stderr, "stream failed: %s\n",
+                   stream->final_status().ToString().c_str());
+      std::exit(1);
+    }
+    return watch.ElapsedMillis();
+  }
 };
 
 double Median(std::vector<double> xs) {
@@ -149,6 +165,17 @@ void Run() {
   const double restart_ms = Median(times);
   std::printf("%-22s %12.3f %10.2f %16d\n", "restart+replay", restart_ms,
               stats.coverage, replay_heals);
+
+  // The same crash before a stream: it heals by replay like the blocking
+  // query, and its time runs to the final value.
+  times.clear();
+  for (int r = 0; r < kRuns; ++r) {
+    d->root->RestartWorker(r % kWorkers);
+    times.push_back(d->TimedStream());
+  }
+  const double stream_restart_ms = Median(times);
+  std::printf("%-22s %12.3f %10s %16s\n", "stream restart+replay",
+              stream_restart_ms, "-", "-");
 
   // Dropped-RPC recovery: a fresh injector per run drops the first summary
   // from worker 1; the per-RPC retry heals without the query noticing.
@@ -214,6 +241,7 @@ void Run() {
   std::printf("\n");
   std::printf("METRIC baseline_query_ms %.4f\n", baseline_ms);
   std::printf("METRIC recovery_restart_ms %.4f\n", restart_ms);
+  std::printf("METRIC stream_restart_ms %.4f\n", stream_restart_ms);
   std::printf("METRIC recovery_dropped_rpc_ms %.4f\n", rpc_drop_ms);
   std::printf("METRIC degraded_first_query_ms %.4f\n", degraded_first_ms);
   std::printf("METRIC degraded_steady_query_ms %.4f\n", degraded_steady_ms);

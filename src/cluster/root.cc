@@ -1,6 +1,7 @@
 #include "cluster/root.h"
 
 #include <optional>
+#include <utility>
 
 namespace hillview {
 namespace cluster {
@@ -14,29 +15,6 @@ bool Retriable(const Status& s) {
   return s.code() == StatusCode::kUnavailable ||
          s.code() == StatusCode::kDeadlineExceeded;
 }
-
-/// Settles a single-flight cache flight on every exit path. The owner
-/// publishes a value only for full-coverage successes; everything else
-/// (degraded, cancelled, shed, failed) releases the flight empty so a
-/// waiting session recomputes instead of adopting a partial result.
-class FlightGuard {
- public:
-  FlightGuard(ComputationCache* cache, std::string key, bool active)
-      : cache_(cache), key_(std::move(key)), active_(active) {}
-  ~FlightGuard() {
-    if (active_) cache_->FinishCompute(key_, std::move(value_));
-  }
-  void Publish(AnySummary value) { value_ = std::move(value); }
-
-  FlightGuard(const FlightGuard&) = delete;
-  FlightGuard& operator=(const FlightGuard&) = delete;
-
- private:
-  ComputationCache* cache_;
-  std::string key_;
-  bool active_;
-  std::optional<AnySummary> value_;
-};
 
 }  // namespace
 
@@ -109,8 +87,7 @@ DataSetPtr RootSession::GetRootDataSet(const std::string& dataset_id,
         &cluster_->health()));
   }
   ParallelDataSet::Options aggregation = cluster_->options().aggregation;
-  aggregation.tolerate_child_failures =
-      aggregation.tolerate_child_failures || tolerant;
+  aggregation.tolerate_child_failures = tolerant;
   // The root aggregation node; children recurse into the workers' own
   // parallel trees (nullptr pool: remote children schedule on worker pools).
   return std::make_shared<ParallelDataSet>(
@@ -134,148 +111,231 @@ int RootSession::render_generation(const std::string& view_id) const {
   return it == renders_.end() ? 0 : it->second.generation;
 }
 
+/// The ladder runs as a completion continuation: each attempt's stream
+/// settles into OnAttemptDone, which settles the query or starts the next
+/// attempt. The callbacks of the attempt in flight own the query, so it lives
+/// as long as some attempt can still settle it, on whichever thread that is.
+class RootSession::Query : public std::enable_shared_from_this<Query> {
+ public:
+  /// `flight_key` is the shared-cache flight this query owns, or empty.
+  Query(std::shared_ptr<RootSession> session, std::string dataset_id,
+        AnySketch sketch, uint64_t seed, CancellationTokenPtr token,
+        std::string flight_key)
+      : session_(std::move(session)),
+        cluster_(session_->cluster_),
+        dataset_id_(std::move(dataset_id)),
+        sketch_(std::move(sketch)),
+        seed_(seed),
+        token_(std::move(token)),
+        flight_key_(std::move(flight_key)) {}
+
+  /// Runs on the caller's thread, which admission may block; returns once
+  /// the first attempt is under way or the query has settled.
+  void Start() EXCLUDES(mutex_) {
+    session_->redo_log_.Append("sketch", dataset_id_ + "#" + sketch_.name(),
+                               seed_);
+    Result<QueryScheduler::Grant> grant =
+        cluster_->scheduler().Admit(session_->session_id_, token_);
+    if (!grant.ok()) {  // shed, or superseded while queued: never runs
+      Settle(grant.status());
+      return;
+    }
+    {
+      MutexLock lock(mutex_);
+      grant_ = grant.Take();
+      bytes_up_before_ =
+          cluster_->network()->SessionSnapshot(session_->session_id_).bytes_up;
+    }
+    RunAttempt();
+  }
+
+  const StreamPtr<PartialResult<AnySummary>>& stream() const { return out_; }
+
+  /// What the fault machinery did; final once stream() has completed.
+  QueryStats stats() const EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    return stats_;
+  }
+
+ private:
+  /// Called with no lock held: an attempt may settle synchronously (a
+  /// breaker fast-fail, a worker that lost the dataset), re-entering
+  /// OnAttemptDone on this thread.
+  void RunAttempt() EXCLUDES(mutex_) {
+    if (token_ != nullptr && token_->IsCancelled()) {
+      Settle(Status::Cancelled("render superseded"));
+      return;
+    }
+    bool tolerant = false;
+    {
+      MutexLock lock(mutex_);
+      last_.reset();
+      tolerant = degraded_pass_ || cluster_->health().AnyOpen();
+    }
+    auto attempt = session_->GetRootDataSet(dataset_id_, tolerant)
+                       ->RunSketch(sketch_, session_->QueryOptions(seed_,
+                                                                   token_));
+    auto self = shared_from_this();
+    attempt->Subscribe(
+        [self](const PartialResult<AnySummary>& p) { self->OnPartial(p); },
+        [self](const Status& s) { self->OnAttemptDone(s); });
+  }
+
+  void OnPartial(const PartialResult<AnySummary>& p) EXCLUDES(mutex_) {
+    {
+      MutexLock lock(mutex_);
+      last_ = p;
+      // A retried attempt restarts at progress 0.
+      if (p.progress < shown_progress_) return;
+      shown_progress_ = p.progress;
+    }
+    out_->OnNext(p);
+  }
+
+  void OnAttemptDone(const Status& status) EXCLUDES(mutex_) {
+    int failed_attempt = -1;
+    bool replay = false;
+    {
+      MutexLock lock(mutex_);
+      if (!status.ok() && Retriable(status) && !degraded_pass_) {
+        // Every earlier retry was a replay: the degraded pass is the last.
+        failed_attempt = stats_.replay_heals;
+        replay = status.code() == StatusCode::kUnavailable &&
+                 stats_.replay_heals < cluster_->options().max_replay_retries;
+        if (replay) {
+          ++stats_.replay_heals;
+        } else {
+          degraded_pass_ = true;
+        }
+      }
+    }
+    if (failed_attempt < 0) {
+      Settle(status);
+      return;
+    }
+    if (replay) {
+      // Lazy replay (§5.7). A retriable replay failure (a worker died again
+      // mid-heal) already spent a slot of the budget: retry and heal again.
+      Status replayed = session_->redo_log_.ReplayAll();
+      if (!replayed.ok() && !Retriable(replayed)) {
+        Settle(replayed);
+        return;
+      }
+    }
+    if (session_->retry_hook_) session_->retry_hook_(failed_attempt, status);
+    RunAttempt();
+  }
+
+  /// Publishes a full-coverage result to the cache flight (anything else
+  /// releases it empty, so a waiting session recomputes), charges the bytes
+  /// the query moved to its session, frees the grant, and only then
+  /// completes the stream.
+  void Settle(Status status) EXCLUDES(mutex_) {
+    std::optional<AnySummary> publish;
+    std::string flight_key;
+    QueryScheduler::Grant grant;
+    uint64_t bytes_up_before = 0;
+    {
+      MutexLock lock(mutex_);
+      if (status.ok() && !last_.has_value()) {
+        status = Status::Internal("sketch completed without a result");
+      }
+      if (status.ok()) {
+        stats_.coverage = last_->coverage;
+        stats_.degraded = last_->coverage < 1.0;
+        if (!stats_.degraded) publish = last_->value;
+      }
+      flight_key.swap(flight_key_);
+      grant = std::move(grant_);
+      bytes_up_before = bytes_up_before_;
+    }
+    if (!flight_key.empty()) {
+      cluster_->shared_cache().FinishCompute(flight_key, std::move(publish));
+    }
+    if (grant != nullptr) {
+      // Approximate when a session overlaps its own queries: fairness
+      // tracks the per-session trend, not exact attribution.
+      const uint64_t bytes_up =
+          cluster_->network()->SessionSnapshot(session_->session_id_).bytes_up;
+      cluster_->scheduler().ChargeCost(
+          session_->session_id_,
+          static_cast<int64_t>(bytes_up - bytes_up_before));
+      grant.reset();
+    }
+    out_->OnComplete(status);
+  }
+
+  const std::shared_ptr<RootSession> session_;
+  Cluster* const cluster_;
+  const std::string dataset_id_;
+  const AnySketch sketch_;
+  const uint64_t seed_;
+  const CancellationTokenPtr token_;
+  const StreamPtr<PartialResult<AnySummary>> out_ =
+      std::make_shared<Stream<PartialResult<AnySummary>>>();
+
+  mutable Mutex mutex_;
+  std::string flight_key_ GUARDED_BY(mutex_);
+  QueryScheduler::Grant grant_ GUARDED_BY(mutex_);
+  uint64_t bytes_up_before_ GUARDED_BY(mutex_) = 0;
+  bool degraded_pass_ GUARDED_BY(mutex_) = false;
+  double shown_progress_ GUARDED_BY(mutex_) = 0.0;
+  /// The current attempt's latest partial.
+  std::optional<PartialResult<AnySummary>> last_ GUARDED_BY(mutex_);
+  QueryStats stats_ GUARDED_BY(mutex_);
+};
+
 Result<AnySummary> RootSession::RunErased(const std::string& dataset_id,
-                                          const AnySketch& sketch,
-                                          uint64_t seed, bool cacheable,
+                                          AnySketch sketch, uint64_t seed,
+                                          bool cacheable,
                                           CancellationTokenPtr token,
                                           QueryStats* stats) {
-  QueryStats local_stats;
-  QueryStats& q = stats != nullptr ? *stats : local_stats;
+  QueryStats unused;
+  QueryStats& q = stats != nullptr ? *stats : unused;
   q = QueryStats{};
-  ComputationCache& cache = cluster_->shared_cache();
-  const std::string cache_key =
-      ComputationCache::Key(dataset_id, sketch.name(), seed);
-
-  bool flight_owner = false;
+  std::string flight_key;
   if (cacheable) {
     if (token != nullptr && token->IsCancelled()) {
       return Status::Cancelled("render superseded before start");
     }
-    // Single-flight across sessions: a hit (cached, or adopted from another
-    // session's concurrent identical query) returns without computing; a
-    // miss elects this query the flight owner. The cache only ever holds
-    // full-coverage results, so a hit is always complete.
-    bool coalesced = false;
-    auto hit = cache.GetOrBeginCompute(cache_key, &flight_owner, &coalesced);
+    // Single-flight across sessions. A hit (cached, or adopted from another
+    // session's identical query in flight) is complete — the cache holds
+    // only full-coverage results — and needs no query: building one costs
+    // more than the lookup, and a dashboard of cached views pays it on every
+    // chart. A miss makes this caller the flight's owner.
+    flight_key = ComputationCache::Key(dataset_id, sketch.name(), seed);
+    bool owner = false;
+    std::optional<AnySummary> hit = cluster_->shared_cache().GetOrBeginCompute(
+        flight_key, &owner, &q.coalesced);
     if (hit.has_value()) {
       q.from_cache = true;
-      q.coalesced = coalesced;
-      return *hit;
+      return *std::move(hit);
     }
   }
-  FlightGuard flight(&cache, cache_key, flight_owner);
-
-  redo_log_.Append("sketch", dataset_id + "#" + sketch.name(), seed);
-
-  // The attempt loop runs inside a scheduler grant: admission control may
-  // shed it (Unavailable) or the render may be superseded while queued
-  // (Cancelled) — in both cases the query never executes.
-  const SimulatedNetwork::SessionTraffic before =
-      cluster_->network()->SessionSnapshot(session_id_);
-  Result<AnySummary> outcome = Status::Internal("query did not run");
-  bool ran = false;
-  Status scheduled = cluster_->scheduler().Execute(
-      session_id_, token,
-      [&]() -> Status {
-        outcome = RunAttempts(dataset_id, sketch, seed, token, &q);
-        return outcome.status();
-      },
-      &ran);
-  if (!ran) return scheduled;
-
-  // Charge the root-received bytes this query moved to the session's DRR
-  // account (approximate when one session overlaps its own queries — the
-  // fairness target is the per-session trend, not exact attribution).
-  const SimulatedNetwork::SessionTraffic after =
-      cluster_->network()->SessionSnapshot(session_id_);
-  cluster_->scheduler().ChargeCost(
-      session_id_, static_cast<int64_t>(after.bytes_up - before.bytes_up));
-
-  if (outcome.ok() && !q.degraded && flight_owner) {
-    // Publish to the shared cache and to any waiting session. Degraded
-    // results are NEVER published: after the cluster heals, the same query
-    // must recompute at full coverage, not serve the partial view forever —
-    // and another session must never adopt this tenant's partial result.
-    flight.Publish(outcome.value());
+  auto query = std::make_shared<Query>(shared_from_this(), dataset_id,
+                                       std::move(sketch), seed, token,
+                                       std::move(flight_key));
+  query->Start();
+  std::optional<PartialResult<AnySummary>> last =
+      query->stream()->BlockingLast(token);
+  // Superseded: the caller settles now; the query settles Cancelled on its
+  // own and frees its grant then.
+  if (token != nullptr && token->IsCancelled()) {
+    return Status::Cancelled("render superseded");
   }
-  return outcome;
+  q = query->stats();
+  HV_RETURN_IF_ERROR(query->stream()->final_status());
+  return last->value;
 }
 
-Result<AnySummary> RootSession::RunAttempts(const std::string& dataset_id,
-                                            const AnySketch& sketch,
-                                            uint64_t seed,
-                                            const CancellationTokenPtr& token,
-                                            QueryStats* stats) {
-  QueryStats& q = *stats;
-  const Cluster::Options& opts = cluster_->options();
-  // Backstop against a truly hung worker whose stream never completes at all
-  // — distinct from (and far above) the per-RPC deadline, which handles
-  // merely late or lost responses. 0 = no backstop (then the wait is a plain
-  // completion wait, cancellation-aware when there is a token).
-  const SketchOptions::RpcPolicy& rpc = opts.rpc;
-  const double backstop_ms =
-      rpc.deadline_ms > 0
-          ? (rpc.deadline_ms * (rpc.max_retries + 1) +
-             rpc.backoff_cap_ms * rpc.max_retries) *
-                    10.0 +
-                1000.0
-          : 0.0;
-
-  bool degraded_pass = false;
-  for (int attempt = 0;; ++attempt) {
-    if (token != nullptr && token->IsCancelled()) {
-      return Status::Cancelled("render superseded");
-    }
-    // Degrade as soon as a breaker is open: the breaker's verdict is the
-    // signal that asking that worker again is pointless, so the merge should
-    // complete over the survivors (§5.7). The degraded pass also tolerates
-    // losses regardless of breaker state.
-    const bool tolerant = degraded_pass || cluster_->health().AnyOpen();
-    auto stream = GetRootDataSet(dataset_id, tolerant)
-                      ->RunSketch(sketch, QueryOptions(seed, token));
-    bool backstop_fired = false;
-    bool cancelled = false;
-    std::optional<PartialResult<AnySummary>> last =
-        stream->BlockingLastFor(backstop_ms, &backstop_fired, token,
-                                &cancelled);
-    if (cancelled) {
-      // Superseded mid-flight: abandon the stream (stragglers complete into
-      // a stream nobody reads) and settle immediately — the whole point of
-      // generation-tagged cancellation is not waiting out slow renders.
-      return Status::Cancelled("render superseded");
-    }
-    const Status status = backstop_fired
-                              ? Status::DeadlineExceeded(
-                                    "query exceeded its completion backstop")
-                              : stream->final_status();
-    if (status.ok()) {
-      if (!last.has_value()) {
-        return Status::Internal("sketch completed without a result");
-      }
-      q.coverage = last->coverage;
-      q.degraded = last->coverage < 1.0;
-      return last->value;
-    }
-    if (!Retriable(status) || degraded_pass) return status;
-
-    if (status.code() == StatusCode::kUnavailable &&
-        q.replay_heals < opts.max_replay_retries) {
-      // Lazy replay (§5.7): re-execute the logged operations to rebuild the
-      // missing soft state, then retry the query.
-      ++q.replay_heals;
-      Status replayed = redo_log_.ReplayAll();
-      // A retriable replay failure (e.g. a worker died again mid-heal) is
-      // just another failure of this attempt: it already consumed a slot in
-      // the replay budget, so loop and heal again rather than giving up.
-      if (!replayed.ok() && !Retriable(replayed)) return replayed;
-    } else {
-      // The RPC edge already retried transport faults, or the replay budget
-      // is spent. Last resort: accept losing the failed workers and complete
-      // over the survivors, marking the coverage.
-      degraded_pass = true;
-    }
-    if (retry_hook_) retry_hook_(attempt, status);
-  }
+StreamPtr<PartialResult<AnySummary>> RootSession::RunErasedStream(
+    const std::string& dataset_id, AnySketch sketch, uint64_t seed,
+    CancellationTokenPtr token) {
+  auto query = std::make_shared<Query>(shared_from_this(), dataset_id,
+                                       std::move(sketch), seed,
+                                       std::move(token), std::string());
+  query->Start();
+  return query->stream();
 }
 
 }  // namespace cluster

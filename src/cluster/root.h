@@ -24,32 +24,41 @@ namespace cluster {
 /// tracker, the shared ComputationCache and the fair scheduler live on the
 /// Cluster and are shared by all sessions.
 ///
-/// Fault handling is one ladder. Transport faults are retried only at the
-/// RPC edge (RemoteDataSet), which re-asks just the worker that failed. At
-/// the query level, soft-state loss (kUnavailable) heals by redo-log replay
-/// while the replay budget lasts; any other retriable failure, or a spent
-/// replay budget, gets exactly one degraded pass — the merge completes over
-/// the survivors and the result carries a coverage fraction instead of an
-/// error. A query also degrades from its first attempt while any worker's
-/// circuit breaker is open. Degraded results are never stored in the shared
-/// cache (and never served to another session).
-///
-/// Queries additionally pass through the cluster's QueryScheduler: admission
-/// control may shed them with Unavailable before they run, and deficit-
-/// round-robin fair scheduling orders them against other sessions' queries.
+/// Every query is a stream of partial results (§5.3); RunSketch is that
+/// stream's last value. One query object owns a stream's whole life:
+///  - **Cache.** A cacheable RunSketch first asks the shared cache's
+///    single-flight protocol. A hit (or another session's adopted in-flight
+///    result) is complete and needs no query; on a miss the query owns the
+///    flight and publishes only a full-coverage final result, so a degraded
+///    one never reaches another session.
+///  - **Grant.** The cluster's QueryScheduler may shed the query
+///    (Unavailable) and orders it against other sessions' queries by
+///    deficit round robin. The query holds its one grant across all its
+///    attempts until it settles, and is charged the bytes it moved.
+///  - **Ladder.** Transport faults are retried only at the RPC edge
+///    (RemoteDataSet). Soft-state loss (kUnavailable) replays the redo log
+///    and starts a new attempt while the replay budget lasts; any other
+///    retriable failure, or a spent budget, gets exactly one degraded pass
+///    that merges over the survivors and reports the coverage instead of an
+///    error. While any breaker is open, every attempt is degraded from its
+///    start. A retried attempt's partials reach the caller only once they
+///    catch up with the progress already shown.
 ///
 /// Cancellation contract: BeginRender(view) starts a new render generation
 /// for a view and supersedes the previous one — the old generation's token
 /// flips, its queries settle Status::Cancelled (checked at morsel
-/// boundaries, at partial-result emission in the merger, and while queued in
-/// the scheduler), and cancelled queries never poison the shared cache or
-/// the health stats.
+/// boundaries, at partial-result emission in the merger, between attempts
+/// and while queued in the scheduler), and cancelled queries never poison
+/// the shared cache or the health stats. A superseded query keeps its grant
+/// until it settles; a blocking caller returns at once.
 ///
-/// The Cluster must outlive the session and every query it runs.
-class RootSession {
+/// A running query keeps its session alive, so it may settle after its
+/// caller dropped both stream and session. The Cluster must outlive every
+/// query.
+class RootSession : public std::enable_shared_from_this<RootSession> {
  public:
   /// Per-query fault-handling + serving observability, filled in by
-  /// RunSketch / RunErased when the caller passes a stats out-param.
+  /// RunSketch when the caller passes a stats out-param.
   struct QueryStats {
     double coverage = 1.0;    // partitions merged / total partitions
     int replay_heals = 0;     // redo-log replays this query triggered
@@ -73,39 +82,37 @@ class RootSession {
   Result<std::string> MapDataSet(const std::string& parent_id, TableMap map,
                                  const std::string& op_name);
 
-  /// Runs a sketch to completion through the fair scheduler, with
-  /// shared-cache lookup (when `cacheable`; identical concurrent queries are
-  /// single-flighted across sessions), Unavailable-healing replay and — as a
-  /// last resort — one coverage-marked degraded pass. The seed is logged.
-  /// `stats` (optional) receives what the fault machinery did.
-  /// `token` (optional, typically from BeginRender) cancels the query when
-  /// its render is superseded; it then returns Status::Cancelled.
+  /// Runs a sketch to completion: the last value of its query stream (see
+  /// the class comment), with shared-cache lookup when `cacheable`
+  /// (identical concurrent queries are single-flighted across sessions).
+  /// The seed is logged. `stats` (optional) receives what the fault
+  /// machinery did. `token` (optional, typically from BeginRender) cancels
+  /// the query when its render is superseded; it then returns
+  /// Status::Cancelled at once.
   template <typename R>
   Result<R> RunSketch(const std::string& dataset_id, SketchPtr<R> sketch,
                       uint64_t seed = 0, bool cacheable = false,
                       QueryStats* stats = nullptr,
                       CancellationTokenPtr token = {}) {
-    AnySketch erased = AnySketch::Wrap<R>(std::move(sketch));
-    HV_ASSIGN_OR_RETURN(AnySummary summary,
-                        RunErased(dataset_id, erased, seed, cacheable,
-                                  std::move(token), stats));
+    HV_ASSIGN_OR_RETURN(
+        AnySummary summary,
+        RunErased(dataset_id, AnySketch::Wrap<R>(std::move(sketch)), seed,
+                  cacheable, std::move(token), stats));
     return summary.As<R>();
   }
 
-  /// Streaming variant: per-RPC retries at the remote edge, but no replay
-  /// healing or degraded pass — callers wanting progressive updates
-  /// resubscribe on failure. Streams bypass the scheduler's
-  /// admission/fairness queue: they are the interactive progressive path,
-  /// and their cost lands on the per-session byte counters regardless.
+  /// Progressive variant: the query's stream of partial results itself. It
+  /// is admitted, heals, degrades and is charged like RunSketch (never
+  /// cached); a degraded stream's values carry their coverage. Returns once
+  /// the query is granted (or has settled: shed, cancelled, failed).
   template <typename R>
   StreamPtr<PartialResult<R>> RunSketchStream(const std::string& dataset_id,
                                               SketchPtr<R> sketch,
                                               uint64_t seed = 0,
                                               CancellationTokenPtr token = {}) {
-    DataSetPtr root = GetRootDataSet(dataset_id, /*tolerant=*/false);
-    redo_log_.Append("sketch", dataset_id + "#" + sketch->name(), seed);
-    return RunTypedSketch<R>(*root, std::move(sketch),
-                             QueryOptions(seed, std::move(token)));
+    return TypedStream<R>(
+        RunErasedStream(dataset_id, AnySketch::Wrap<R>(std::move(sketch)),
+                        seed, std::move(token)));
   }
 
   /// Starts a new render generation for `view_id` and returns its
@@ -126,8 +133,8 @@ class RootSession {
 
   /// Hook fired just before each query re-run (after a replay heal, and
   /// before the degraded pass), with the 0-based attempt number that failed
-  /// and its status. Tests use it to crash workers *between* the attempts of
-  /// one query.
+  /// and its status, on whichever thread settled that attempt. Tests use it
+  /// to crash workers *between* the attempts of one query.
   void set_retry_hook(std::function<void(int, const Status&)> hook) {
     retry_hook_ = std::move(hook);
   }
@@ -142,17 +149,16 @@ class RootSession {
   RootSession(Cluster* cluster, int session_id)
       : cluster_(cluster), session_id_(session_id) {}
 
-  Result<AnySummary> RunErased(const std::string& dataset_id,
-                               const AnySketch& sketch, uint64_t seed,
-                               bool cacheable, CancellationTokenPtr token,
-                               QueryStats* stats = nullptr);
+  class Query;  // one query's whole life (root.cc)
 
-  /// The healing attempt loop (replay / degraded pass), run inside a
-  /// scheduler grant.
-  Result<AnySummary> RunAttempts(const std::string& dataset_id,
-                                 const AnySketch& sketch, uint64_t seed,
-                                 const CancellationTokenPtr& token,
-                                 QueryStats* q);
+  Result<AnySummary> RunErased(const std::string& dataset_id,
+                               AnySketch sketch, uint64_t seed,
+                               bool cacheable, CancellationTokenPtr token,
+                               QueryStats* stats);
+
+  StreamPtr<PartialResult<AnySummary>> RunErasedStream(
+      const std::string& dataset_id, AnySketch sketch, uint64_t seed,
+      CancellationTokenPtr token);
 
   /// The SketchOptions every query of this session runs with: its seed,
   /// cancellation token and session id, plus the deployment's RpcPolicy.
@@ -160,7 +166,7 @@ class RootSession {
 
   /// The root execution tree for a dataset: a ParallelDataSet over one
   /// RemoteDataSet per worker. `tolerant` completes the merge over the
-  /// survivors when workers fail (on top of the configured aggregation).
+  /// survivors when workers fail (degraded mode).
   DataSetPtr GetRootDataSet(const std::string& dataset_id, bool tolerant);
 
   struct RenderState {

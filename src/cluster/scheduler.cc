@@ -21,87 +21,83 @@ constexpr double kCancelPollMs = 2.0;
 
 }  // namespace
 
+Result<QueryScheduler::Grant> QueryScheduler::Admit(
+    int session_id, const CancellationTokenPtr& cancel) {
+  MutexLock lock(mutex_);
+  ++stats_.submitted;
+  if (cancel != nullptr && cancel->IsCancelled()) {
+    ++stats_.cancelled_in_queue;
+    return Status::Cancelled("render superseded before dispatch");
+  }
+  // Admission control, cheapest signal first. Shedding happens before the
+  // query consumes a queue slot: under overload the tenant gets an
+  // immediate Unavailable to back off on, not unbounded latency.
+  if (health_ != nullptr && health_->num_workers() > 0 &&
+      health_->num_open() >= health_->num_workers()) {
+    ++stats_.shed_unhealthy;
+    return Status::Unavailable(
+        "admission control: every worker circuit breaker is open");
+  }
+  auto [session_it, inserted] = sessions_.try_emplace(session_id);
+  SessionState& s = session_it->second;
+  if (inserted) s.cost_estimate = options_.quantum_bytes;
+  if (s.in_flight >= options_.max_in_flight_per_session) {
+    ++stats_.shed_session_budget;
+    return Status::Unavailable(
+        "admission control: session exceeded its in-flight budget");
+  }
+  if (running_ >= options_.dispatch_concurrency &&
+      queued_total_ >= options_.max_queued_total) {
+    ++stats_.shed_queue_full;
+    return Status::Unavailable(
+        "admission control: cluster saturated and queue full");
+  }
+
+  auto ticket = std::make_shared<Ticket>();
+  s.queue.push_back(ticket);
+  ++s.in_flight;
+  ++queued_total_;
+  GrantLocked();
+  while (!ticket->granted) {
+    if (cancel != nullptr && cancel->IsCancelled()) {
+      // Leave the queue without running: a superseded render settles
+      // Cancelled immediately. Erase the ticket here, under the lock, so the
+      // queue only ever holds live waiters.
+      for (auto it = s.queue.begin(); it != s.queue.end(); ++it) {
+        if (*it == ticket) {
+          s.queue.erase(it);
+          --queued_total_;
+          break;
+        }
+      }
+      --s.in_flight;
+      ++stats_.cancelled_in_queue;
+      return Status::Cancelled("render superseded while queued");
+    }
+    if (cancel != nullptr) {
+      cv_.WaitFor(mutex_, kCancelPollMs);
+    } else {
+      cv_.Wait(mutex_);
+    }
+  }
+  return Grant(this, Releaser{session_id});
+}
+
 Status QueryScheduler::Execute(int session_id,
                                const CancellationTokenPtr& cancel,
-                               const std::function<Status()>& query,
-                               bool* ran) {
-  if (ran != nullptr) *ran = false;
-  {
-    MutexLock lock(mutex_);
-    ++stats_.submitted;
-    if (cancel != nullptr && cancel->IsCancelled()) {
-      ++stats_.cancelled_in_queue;
-      return Status::Cancelled("render superseded before dispatch");
-    }
-    // Admission control, cheapest signal first. Shedding happens before the
-    // query consumes a queue slot: under overload the tenant gets an
-    // immediate Unavailable to back off on, not unbounded latency.
-    if (health_ != nullptr && health_->num_workers() > 0 &&
-        health_->num_open() >= health_->num_workers()) {
-      ++stats_.shed_unhealthy;
-      return Status::Unavailable(
-          "admission control: every worker circuit breaker is open");
-    }
-    auto [session_it, inserted] = sessions_.try_emplace(session_id);
-    SessionState& s = session_it->second;
-    if (inserted) s.cost_estimate = options_.quantum_bytes;
-    if (s.in_flight >= options_.max_in_flight_per_session) {
-      ++stats_.shed_session_budget;
-      return Status::Unavailable(
-          "admission control: session exceeded its in-flight budget");
-    }
-    if (running_ >= options_.dispatch_concurrency &&
-        queued_total_ >= options_.max_queued_total) {
-      ++stats_.shed_queue_full;
-      return Status::Unavailable(
-          "admission control: cluster saturated and queue full");
-    }
+                               const std::function<Status()>& query) {
+  Result<Grant> grant = Admit(session_id, cancel);
+  if (!grant.ok()) return grant.status();
+  return query();  // on the caller's thread; the grant releases on return
+}
 
-    auto ticket = std::make_shared<Ticket>();
-    ticket->session = session_id;
-    ticket->cancel = cancel;
-    s.queue.push_back(ticket);
-    ++s.in_flight;
-    ++queued_total_;
-    GrantLocked();
-    while (!ticket->granted) {
-      if (cancel != nullptr && cancel->IsCancelled()) {
-        // Leave the queue without running: a superseded render settles
-        // Cancelled immediately. Erase the ticket eagerly so queue-depth
-        // admission never counts dead waiters.
-        ticket->abandoned = true;
-        for (auto it = s.queue.begin(); it != s.queue.end(); ++it) {
-          if (*it == ticket) {
-            s.queue.erase(it);
-            --queued_total_;
-            break;
-          }
-        }
-        --s.in_flight;
-        ++stats_.cancelled_in_queue;
-        return Status::Cancelled("render superseded while queued");
-      }
-      if (cancel != nullptr) {
-        cv_.WaitFor(mutex_, kCancelPollMs);
-      } else {
-        cv_.Wait(mutex_);
-      }
-    }
-  }
-
-  // Granted: run on the caller's thread, outside the lock.
-  Status status = query();
-  if (ran != nullptr) *ran = true;
-
-  {
-    MutexLock lock(mutex_);
-    auto it = sessions_.find(session_id);
-    if (it != sessions_.end()) --it->second.in_flight;
-    --running_;
-    ++stats_.completed;
-    GrantLocked();
-  }
-  return status;
+void QueryScheduler::Release(int session_id) {
+  MutexLock lock(mutex_);
+  auto it = sessions_.find(session_id);
+  if (it != sessions_.end()) --it->second.in_flight;
+  --running_;
+  ++stats_.completed;
+  GrantLocked();
 }
 
 void QueryScheduler::ChargeCost(int session_id, int64_t cost_bytes) {
@@ -137,19 +133,9 @@ void QueryScheduler::GrantLocked() {
     auto session_it = PickSessionLocked();
     if (session_it == sessions_.end()) break;
     SessionState& s = session_it->second;
-    TicketPtr ticket;
-    while (!s.queue.empty()) {
-      TicketPtr t = s.queue.front();
-      s.queue.pop_front();
-      --queued_total_;
-      if (t->abandoned) continue;  // defensive: abandoners erase eagerly
-      ticket = std::move(t);
-      break;
-    }
-    if (ticket == nullptr) {
-      if (s.queue.empty()) s.deficit = 0;
-      continue;
-    }
+    TicketPtr ticket = std::move(s.queue.front());
+    s.queue.pop_front();
+    --queued_total_;
     ticket->granted = true;
     granted_any = true;
     // Pay for the grant with the current estimate; an emptied queue forfeits

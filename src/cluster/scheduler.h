@@ -16,9 +16,9 @@ namespace hillview {
 namespace cluster {
 
 /// Fair query scheduler for the multi-tenant serving layer: every session's
-/// blocking queries pass through Execute(), which admits, queues and grants
-/// them so that N concurrent sessions share the workers predictably instead
-/// of racing unthrottled into the same pools.
+/// queries pass through Admit(), which admits, queues and grants them a
+/// dispatch slot so that N concurrent sessions share the workers predictably
+/// instead of racing unthrottled into the same pools.
 ///
 /// Design:
 ///
@@ -41,13 +41,13 @@ namespace cluster {
 ///    answer, so queueing would only convert overload into latency).
 ///  - **Cancellation while queued.** A waiter whose render token flips leaves
 ///    the queue immediately and returns Status::Cancelled without ever
-///    running; a granted query handles the token itself downstream.
+///    being granted; a granted query handles the token itself downstream
+///    and keeps its slot until it settles Cancelled.
 ///
-/// Caller-threaded by design: Execute runs `query` on the submitting thread
-/// once granted, so the scheduler owns no threads, inherits the session's
-/// stack/locale context for free, and shuts down trivially (no pool to
-/// drain; callers are inside their own query when the Cluster dies only if
-/// they outlive it, which the Cluster/Session ownership contract forbids).
+/// Caller-threaded by design: Admit waits for the grant on the submitting
+/// thread, so the scheduler owns no threads and shuts down trivially (no
+/// pool to drain). The query itself may settle on any thread; that thread
+/// releases the grant.
 ///
 /// Thread-safe: one capability-annotated mutex guards every queue, counter
 /// and DRR account; stats are exposed only through a locked Snapshot().
@@ -88,14 +88,26 @@ class QueryScheduler {
   QueryScheduler(const QueryScheduler&) = delete;
   QueryScheduler& operator=(const QueryScheduler&) = delete;
 
-  /// Admits, queues and — once granted a dispatch slot — runs `query` on the
-  /// calling thread. Returns the query's own status; or Unavailable when
-  /// admission shed it; or Cancelled when `cancel` flipped while queued (the
-  /// query then never ran). `*ran` (optional) reports whether `query`
-  /// executed, so callers can distinguish "query failed" from "never ran".
-  Status Execute(int session_id, const CancellationTokenPtr& cancel,
-                 const std::function<Status()>& query, bool* ran = nullptr)
+  /// One admitted query's dispatch slot: move-only, and releasing it —
+  /// reset() or destruction — frees the slot for the next waiter.
+  struct Releaser {
+    int session_id = 0;
+    void operator()(QueryScheduler* scheduler) const {
+      scheduler->Release(session_id);
+    }
+  };
+  using Grant = std::unique_ptr<QueryScheduler, Releaser>;
+
+  /// Admits and queues a query, then blocks the calling thread until it is
+  /// granted a dispatch slot. Returns the grant; or Unavailable when
+  /// admission shed the query; or Cancelled when `cancel` flipped first.
+  Result<Grant> Admit(int session_id, const CancellationTokenPtr& cancel)
       EXCLUDES(mutex_);
+
+  /// Admit, run `query` on the calling thread, release. Returns the query's
+  /// own status, or Admit's when the query never ran.
+  Status Execute(int session_id, const CancellationTokenPtr& cancel,
+                 const std::function<Status()>& query) EXCLUDES(mutex_);
 
   /// Charges the bytes a completed query actually moved to its session's
   /// DRR account by folding them into the session's EWMA cost estimate,
@@ -113,12 +125,9 @@ class QueryScheduler {
 
  private:
   /// One queued query. Heap-allocated and shared between the waiting thread
-  /// and the queue so either side can outlive the other's view of it.
+  /// and the queue; a waiter that leaves (cancelled) erases its own ticket.
   struct Ticket {
-    int session = 0;
-    CancellationTokenPtr cancel;
     bool granted = false;
-    bool abandoned = false;  // waiter left (cancelled); skip when draining
   };
   using TicketPtr = std::shared_ptr<Ticket>;
 
@@ -128,6 +137,9 @@ class QueryScheduler {
     int64_t deficit = 0;      // DRR credit toward the next grant
     int64_t cost_estimate;    // EWMA of charged byte costs
   };
+
+  /// Frees a granted slot (the Grant's Releaser).
+  void Release(int session_id) EXCLUDES(mutex_);
 
   /// Grants dispatch slots to queued tickets while capacity allows, in DRR
   /// order. Called whenever capacity or queues change; notifies waiters.

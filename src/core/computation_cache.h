@@ -57,24 +57,6 @@ class ComputationCache {
     return dataset_id + "#" + sketch_name + "@" + std::to_string(seed);
   }
 
-  std::optional<AnySummary> Get(const std::string& key) EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    auto it = entries_.find(key);
-    if (it == entries_.end()) {
-      ++misses_;
-      return std::nullopt;
-    }
-    // Move to front of the LRU list.
-    lru_.splice(lru_.begin(), lru_, it->second.lru_position);
-    ++hits_;
-    return it->second.summary;
-  }
-
-  void Put(const std::string& key, AnySummary summary) EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    PutLocked(key, std::move(summary));
-  }
-
   /// Single-flight lookup. Outcomes:
   ///   - cached value present: returns it (*owner = false; a hit).
   ///   - miss, no flight for this key: the caller is elected owner

@@ -103,15 +103,12 @@ class IDataSet {
   virtual void Evict() = 0;
 };
 
-/// Runs a typed sketch and exposes a typed partial-result stream.
-/// Convenience wrapper used by the spreadsheet layer, examples and tests.
+/// Exposes a type-erased partial-result stream as a typed one, forwarding
+/// progress and coverage with every summary.
 template <typename R>
-StreamPtr<PartialResult<R>> RunTypedSketch(IDataSet& dataset,
-                                           SketchPtr<R> sketch,
-                                           const SketchOptions& options = {}) {
+StreamPtr<PartialResult<R>> TypedStream(
+    const StreamPtr<PartialResult<AnySummary>>& erased) {
   auto typed = std::make_shared<Stream<PartialResult<R>>>();
-  auto erased = dataset.RunSketch(AnySketch::Wrap<R>(std::move(sketch)),
-                                  options);
   // Progress-only partials (empty summary) must still reach subscribers:
   // progress bars advance on every tick, not only on ticks that happen to
   // carry a merged summary. An empty tick re-emits the last summary seen
@@ -120,10 +117,19 @@ StreamPtr<PartialResult<R>> RunTypedSketch(IDataSet& dataset,
   erased->Subscribe(
       [typed, last_value](const PartialResult<AnySummary>& p) {
         if (!p.value.empty()) *last_value = p.value.As<R>();
-        typed->OnNext(PartialResult<R>{p.progress, *last_value});
+        typed->OnNext(PartialResult<R>{p.progress, *last_value, p.coverage});
       },
       [typed](const Status& s) { typed->OnComplete(s); });
   return typed;
+}
+
+/// Runs a typed sketch and exposes a typed partial-result stream.
+template <typename R>
+StreamPtr<PartialResult<R>> RunTypedSketch(IDataSet& dataset,
+                                           SketchPtr<R> sketch,
+                                           const SketchOptions& options = {}) {
+  return TypedStream<R>(
+      dataset.RunSketch(AnySketch::Wrap<R>(std::move(sketch)), options));
 }
 
 /// Blocks for a sketch's final result; the common path for tests, examples

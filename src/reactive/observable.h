@@ -1,8 +1,6 @@
 #ifndef HILLVIEW_REACTIVE_OBSERVABLE_H_
 #define HILLVIEW_REACTIVE_OBSERVABLE_H_
 
-#include <algorithm>
-#include <chrono>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -43,7 +41,8 @@ struct PartialResult {
 /// the real system). One capability-annotated mutex guards the buffer, the
 /// callbacks and the completion state — partial results stream across worker
 /// threads, and they must stay race-free for progressive rendering to be
-/// trustworthy. Blocking helpers are provided for tests and benchmarks.
+/// trustworthy. The blocking helpers wait for completion; RunSketch reads
+/// its query's final value through BlockingLast.
 template <typename T>
 class Stream {
  public:
@@ -59,13 +58,13 @@ class Stream {
     MutexLock lock(mutex_);
     if (done_) return;  // Events after completion are dropped.
     last_ = value;
+    // No notify: blocked readers wait for completion only, and waking them
+    // per event costs a context switch each.
     if (next_) {
       next_(value);
-      ++delivered_;
     } else {
       buffer_.push_back(std::move(value));
     }
-    cv_.NotifyAll();
   }
 
   /// Producer side: complete the stream (exactly once).
@@ -86,75 +85,30 @@ class Stream {
     next_ = std::move(next);
     done_fn_ = std::move(done);
     while (!buffer_.empty()) {
-      if (next_) {
-        next_(buffer_.front());
-        ++delivered_;
-      }
+      if (next_) next_(buffer_.front());
       buffer_.pop_front();
     }
     if (done_ && done_fn_) done_fn_(final_status_);
   }
 
-  /// Blocks until the producer completes; returns the last event seen (or
-  /// nullopt if the stream completed empty).
-  std::optional<T> BlockingLast() EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    while (!done_) cv_.Wait(mutex_);
-    return last_;
-  }
-
-  /// Deadline-aware variant: waits at most `timeout_ms` for completion. On
-  /// timeout sets *timed_out and returns whatever was last seen — the stream
-  /// itself is left incomplete (the producer may still be running); callers
-  /// that give up on it simply drop their reference and late events go to the
-  /// buffer of a stream nobody reads. This is the root's backstop against an
-  /// RPC that never completes at all (a truly hung worker), distinct from the
-  /// per-RPC deadline the remote edge enforces on late responses.
-  ///
-  /// Also cancellation-aware: with a non-null `cancel` token the wait polls it
-  /// and returns as soon as it flips, setting *cancelled — a superseded render
-  /// settles immediately instead of waiting out the backstop timeout. The poll
-  /// is bounded (kCancelPollMs) because nobody notifies this stream's condvar
-  /// when the token flips: cancellation can originate in a different session.
-  /// `timeout_ms <= 0` means no deadline (wait for completion or cancellation
-  /// only); *timed_out is then never set.
-  std::optional<T> BlockingLastFor(double timeout_ms, bool* timed_out,
-                                   const CancellationTokenPtr& cancel = nullptr,
-                                   bool* cancelled = nullptr)
+  /// Blocks until the producer completes and returns the last event seen
+  /// (nullopt if the stream completed empty). With a `cancel` token the wait
+  /// also ends as soon as the token flips: the stream is left running, and
+  /// the caller checks the token to tell the two apart. The token is polled
+  /// (every kCancelPollMs) because nobody notifies this stream's condvar when
+  /// it flips: cancellation can originate in a different session.
+  std::optional<T> BlockingLast(const CancellationTokenPtr& cancel = nullptr)
       EXCLUDES(mutex_) {
     constexpr double kCancelPollMs = 2.0;
-    const bool has_deadline = timeout_ms > 0;
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double, std::milli>(
-                has_deadline ? timeout_ms : 0.0));
     MutexLock lock(mutex_);
-    if (timed_out != nullptr) *timed_out = false;
-    if (cancelled != nullptr) *cancelled = false;
     while (!done_) {
-      if (cancel != nullptr && cancel->IsCancelled()) {
-        if (cancelled != nullptr) *cancelled = true;
-        return last_;
-      }
-      double wait_ms = kCancelPollMs;
-      if (has_deadline) {
-        const double remaining_ms =
-            std::chrono::duration<double, std::milli>(
-                deadline - std::chrono::steady_clock::now())
-                .count();
-        if (remaining_ms <= 0) {
-          if (timed_out != nullptr) *timed_out = true;
-          return last_;
-        }
-        wait_ms = cancel != nullptr ? std::min(remaining_ms, kCancelPollMs)
-                                    : remaining_ms;
-      } else if (cancel == nullptr) {
-        // No deadline and no token: plain completion wait.
+      if (cancel == nullptr) {
         cv_.Wait(mutex_);
-        continue;
+      } else if (cancel->IsCancelled()) {
+        break;
+      } else {
+        cv_.WaitFor(mutex_, kCancelPollMs);
       }
-      cv_.WaitFor(mutex_, wait_ms);
     }
     return last_;
   }
@@ -188,7 +142,6 @@ class Stream {
   NextFn next_ GUARDED_BY(mutex_);
   DoneFn done_fn_ GUARDED_BY(mutex_);
   Status final_status_ GUARDED_BY(mutex_);
-  int delivered_ GUARDED_BY(mutex_) = 0;
   bool done_ GUARDED_BY(mutex_) = false;
 };
 

@@ -5,13 +5,6 @@
 
 namespace hillview {
 
-SortKeyCache::KeysPtr SortKeyCache::Get(SortKeyPlan& plan) {
-  if (!plan.valid()) return nullptr;
-  const std::string key = plan.CacheKey();
-  MutexLock lock(mutex_);
-  return LookupLocked(key, plan);
-}
-
 SortKeyCache::KeysPtr SortKeyCache::LookupLocked(const std::string& key,
                                                  SortKeyPlan& plan,
                                                  bool count_miss) {
@@ -105,10 +98,6 @@ void SortKeyCache::DropDeadEntriesLocked() {
     it = entries_.erase(it);
     ++evictions_;
   }
-}
-
-void SortKeyCache::Put(const SortKeyPlan& plan, KeysPtr keys) {
-  Put(plan, std::move(keys), generation());
 }
 
 void SortKeyCache::RecordEncodingsLocked(const std::string& key,

@@ -40,8 +40,8 @@ namespace hillview {
 /// plan are *single-flight* through GetOrBuild(): the first thread builds,
 /// later threads park on a condition variable and adopt the builder's vector
 /// instead of re-running the O(n) key pass (the `coalesced_builds` counter
-/// observes this). Raw Get/Put remain available and may still race benignly;
-/// the second Put replaces the first with an identical vector.
+/// observes this). Direct Puts may still race benignly; the second replaces
+/// the first with an identical vector.
 class SortKeyCache {
  public:
   using KeysPtr = SortKeyPlan::KeysPtr;
@@ -73,12 +73,6 @@ class SortKeyCache {
   explicit SortKeyCache(size_t max_bytes = kDefaultMaxBytes)
       : max_bytes_(max_bytes) {}
 
-  /// Cached keys for `plan`, or nullptr. Validates that the plan's key
-  /// columns are the live objects the entry was built from. On a hit the
-  /// plan adopts the entry's encoding snapshot, so the caller skips both
-  /// the key build *and* the O(n) encoding pre-passes.
-  KeysPtr Get(SortKeyPlan& plan) EXCLUDES(mutex_);
-
   /// Inserts (or replaces) the keys for `plan` (whose encodings must be
   /// finalized), evicting LRU entries beyond the byte budget. Vectors
   /// larger than the whole budget are not cached. `generation` is the value
@@ -87,10 +81,11 @@ class SortKeyCache {
   /// the insert, so evicted state cannot sneak back into the budget.
   void Put(const SortKeyPlan& plan, KeysPtr keys, uint64_t generation)
       EXCLUDES(mutex_);
-  void Put(const SortKeyPlan& plan, KeysPtr keys) EXCLUDES(mutex_);
 
-  /// The single-flight consult path: cached keys if present; otherwise the
-  /// first caller builds (when `build_allowed`) while concurrent callers
+  /// The single-flight consult path: cached keys if present (a hit adopts
+  /// the entry's encoding snapshot into `plan`, so the caller skips both the
+  /// key build and the O(n) encoding pre-passes); otherwise the first caller
+  /// builds (when `build_allowed`) while concurrent callers
   /// for the same plan that would also have built wait and adopt the
   /// builder's result. Returns nullptr when nothing is cached and building
   /// is not allowed — without waiting on an in-flight build, because such
@@ -156,7 +151,7 @@ class SortKeyCache {
   /// retry rounds are one logical call) when its source columns died.
   /// Returns nullptr on miss.
   KeysPtr LookupLocked(const std::string& key, SortKeyPlan& plan,
-                       bool count_miss = true) REQUIRES(mutex_);
+                       bool count_miss) REQUIRES(mutex_);
 
   /// One in-flight build. Waiters hold the shared_ptr and adopt `keys` +
   /// `encodings` straight from it once `done`, so they are served even when

@@ -428,10 +428,12 @@ TEST(Chaos, BreakerStateMachineTripsProbesAndRecovers) {
 
 // The acceptance sweep: many seeded random fault schedules (probabilistic
 // drops/corruption/duplication on both directions, sometimes one worker
-// muted for good). Every query must either heal byte-identical to the
-// fault-free reference, or — exactly when a worker was muted — complete
-// degraded with coverage equal to the surviving partition fraction and the
-// survivors-only bytes.
+// muted for good), each run twice on a fresh cluster — once through the
+// blocking RunSketch and once through RunSketchStream, which share one
+// ladder. Every query must either heal byte-identical to the fault-free
+// reference, or — exactly when a worker was muted — complete degraded with
+// coverage equal to the surviving partition fraction and the survivors-only
+// bytes.
 TEST(Chaos, RandomSchedulesHealOrDegradeExactly) {
   const int kSeeds = 50 * ChaosIters();
   std::vector<double> all_values;
@@ -445,7 +447,6 @@ TEST(Chaos, RandomSchedulesHealOrDegradeExactly) {
 
   int muted_runs = 0;
   for (int seed = 0; seed < kSeeds; ++seed) {
-    SCOPED_TRACE("chaos seed " + std::to_string(seed));
     Random rng(static_cast<uint64_t>(seed) * 7919 + 1);
     FaultPlan plan;
     plan.seed = static_cast<uint64_t>(seed);
@@ -461,23 +462,41 @@ TEST(Chaos, RandomSchedulesHealOrDegradeExactly) {
       ++muted_runs;
     }
 
-    auto tc = MakeChaosCluster(partitions);
-    ASSERT_NE(tc, nullptr);
-    tc->network.InstallFaultInjector(std::make_shared<FaultInjector>(plan));
+    for (bool streamed : {false, true}) {
+      SCOPED_TRACE("chaos seed " + std::to_string(seed) +
+                   (streamed ? " (stream)" : " (blocking)"));
+      auto tc = MakeChaosCluster(partitions);
+      ASSERT_NE(tc, nullptr);
+      tc->network.InstallFaultInjector(std::make_shared<FaultInjector>(plan));
 
-    RootSession::QueryStats stats;
-    auto result = tc->root->RunSketch<HistogramResult>(
-        "data", ChaosSketch(), /*seed=*/0, /*cacheable=*/false, &stats);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    if (victim < 0) {
-      EXPECT_FALSE(stats.degraded);
-      EXPECT_EQ(stats.coverage, 1.0);
-      EXPECT_EQ(SummaryBytes(result.value()), full_bytes);
-    } else {
-      EXPECT_TRUE(stats.degraded);
-      EXPECT_EQ(stats.coverage, 6.0 / 8.0);
-      EXPECT_EQ(SummaryBytes(result.value()),
-                survivor_bytes[static_cast<size_t>(victim)]);
+      HistogramResult value;
+      double coverage = 0;
+      if (streamed) {
+        auto stream =
+            tc->root->RunSketchStream<HistogramResult>("data", ChaosSketch());
+        auto last = stream->BlockingLast();
+        ASSERT_TRUE(stream->final_status().ok())
+            << stream->final_status().ToString();
+        ASSERT_TRUE(last.has_value());
+        value = last->value;
+        coverage = last->coverage;
+      } else {
+        RootSession::QueryStats stats;
+        auto result = tc->root->RunSketch<HistogramResult>(
+            "data", ChaosSketch(), /*seed=*/0, /*cacheable=*/false, &stats);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_EQ(stats.degraded, victim >= 0);
+        value = result.value();
+        coverage = stats.coverage;
+      }
+      if (victim < 0) {
+        EXPECT_EQ(coverage, 1.0);
+        EXPECT_EQ(SummaryBytes(value), full_bytes);
+      } else {
+        EXPECT_EQ(coverage, 6.0 / 8.0);
+        EXPECT_EQ(SummaryBytes(value),
+                  survivor_bytes[static_cast<size_t>(victim)]);
+      }
     }
   }
   // The 50/50 victim coin must have landed on both sides; otherwise the

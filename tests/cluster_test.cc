@@ -117,6 +117,62 @@ TEST(Cluster, WorkerRestartHealsViaRedoLogReplay) {
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(after.value().rows, before.value().rows);
   EXPECT_GE(tc->root->redo_log().Size(), 2);
+
+  // A stream issued right after a crash heals the same way: it is the same
+  // query, so it replays and restarts instead of failing Unavailable.
+  const int64_t replays = tc->root->redo_log().Snapshot().replays_started;
+  tc->root->RestartWorker(2);
+  auto stream = tc->root->RunSketchStream<CountResult>(
+      derived.value(), std::make_shared<CountSketch>());
+  auto last = stream->BlockingLast();
+  ASSERT_TRUE(stream->final_status().ok())
+      << stream->final_status().ToString();
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->progress, 1.0);
+  EXPECT_EQ(last->coverage, 1.0);
+  EXPECT_EQ(last->value.rows, before.value().rows);
+  EXPECT_EQ(tc->root->redo_log().Snapshot().replays_started, replays + 1);
+}
+
+// A progressive stream whose first attempt fails after showing partials
+// (a restarted worker answers Unavailable while the others stream) is
+// retried from progress 0. The retry's partials are held back until they
+// catch up, so the caller never sees progress go backwards, and the stream
+// still ends on the full, exact result.
+TEST(Cluster, RetriedStreamProgressIsMonotone) {
+  auto values = UniformDoubles(16000, 0, 1, 95);
+  std::vector<TablePtr> partitions;
+  for (const auto& chunk : SplitValues(values, 8)) {
+    partitions.push_back(MakeDoubleTable("x", chunk));
+  }
+  cluster::Cluster::Options options;
+  options.aggregation.aggregation_window_ms = 0;  // emit every partial
+  auto tc = TestCluster::Create(partitions, /*workers=*/4, /*threads=*/1,
+                                options);
+  ASSERT_NE(tc, nullptr);
+  int retries = 0;
+  tc->root->set_retry_hook([&](int, const Status&) { ++retries; });
+  tc->root->RestartWorker(3);
+
+  auto stream = tc->root->RunSketchStream<CountResult>(
+      "data", std::make_shared<CountSketch>());
+  std::vector<double> progress;
+  stream->Subscribe([&progress](const PartialResult<CountResult>& p) {
+    progress.push_back(p.progress);
+  });
+  auto last = stream->BlockingLast();
+  ASSERT_TRUE(stream->final_status().ok())
+      << stream->final_status().ToString();
+  EXPECT_EQ(retries, 1);
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->value.rows, static_cast<int64_t>(values.size()));
+  // The failed attempt showed the three live workers' partials; the retry
+  // adds at least its final value.
+  ASSERT_GE(progress.size(), 4u);
+  for (size_t i = 1; i < progress.size(); ++i) {
+    EXPECT_LE(progress[i - 1], progress[i]) << "partial " << i;
+  }
+  EXPECT_EQ(progress.back(), 1.0);
 }
 
 TEST(Cluster, FailedRemoteMapSurfacesOnFirstUseAndHeals) {
@@ -316,13 +372,14 @@ TEST(Cluster, CacheKeysRandomizedSketchesBySeed) {
 
 TEST(ComputationCache, CountsEvictions) {
   ComputationCache cache(/*max_entries=*/2);
-  cache.Put("a", AnySummary::Wrap<int>(1));
-  cache.Put("b", AnySummary::Wrap<int>(2));
+  testing::CacheInsert(cache, "a", AnySummary::Wrap<int>(1));
+  testing::CacheInsert(cache, "b", AnySummary::Wrap<int>(2));
   EXPECT_EQ(cache.Snapshot().evictions, 0);
-  cache.Put("c", AnySummary::Wrap<int>(3));
+  testing::CacheInsert(cache, "c", AnySummary::Wrap<int>(3));
   EXPECT_EQ(cache.Snapshot().evictions, 1);
-  EXPECT_FALSE(cache.Get("a").has_value());  // "a" was the LRU victim
-  EXPECT_TRUE(cache.Get("c").has_value());
+  // "a" was the LRU victim.
+  EXPECT_FALSE(testing::CacheLookup(cache, "a").has_value());
+  EXPECT_TRUE(testing::CacheLookup(cache, "c").has_value());
 }
 
 // Regression for the worker-resident sort-key cache (§5.4 soft state below

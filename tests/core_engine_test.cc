@@ -259,14 +259,14 @@ TEST(ParallelDataSet, DeterministicSeedsAcrossRuns) {
 
 TEST(ComputationCache, HitMissAndLru) {
   ComputationCache cache(2);
-  EXPECT_FALSE(cache.Get("a").has_value());
-  cache.Put("a", AnySummary::Wrap<int>(1));
-  cache.Put("b", AnySummary::Wrap<int>(2));
-  EXPECT_TRUE(cache.Get("a").has_value());  // refresh "a"
-  cache.Put("c", AnySummary::Wrap<int>(3));  // evicts "b"
-  EXPECT_TRUE(cache.Get("a").has_value());
-  EXPECT_FALSE(cache.Get("b").has_value());
-  EXPECT_TRUE(cache.Get("c").has_value());
+  EXPECT_FALSE(testing::CacheLookup(cache, "a").has_value());
+  testing::CacheInsert(cache, "a", AnySummary::Wrap<int>(1));
+  testing::CacheInsert(cache, "b", AnySummary::Wrap<int>(2));
+  EXPECT_TRUE(testing::CacheLookup(cache, "a").has_value());  // refresh "a"
+  testing::CacheInsert(cache, "c", AnySummary::Wrap<int>(3));  // evicts "b"
+  EXPECT_TRUE(testing::CacheLookup(cache, "a").has_value());
+  EXPECT_FALSE(testing::CacheLookup(cache, "b").has_value());
+  EXPECT_TRUE(testing::CacheLookup(cache, "c").has_value());
   EXPECT_EQ(cache.Snapshot().entries, 2u);
   EXPECT_GT(cache.Snapshot().hits, 0);
   EXPECT_GT(cache.Snapshot().misses, 0);
@@ -276,10 +276,12 @@ TEST(ComputationCache, TypedRoundTrip) {
   ComputationCache cache;
   HistogramResult r;
   r.counts = {1, 2, 3};
-  cache.Put(ComputationCache::Key("ds", "hist", /*seed=*/1),
-            AnySummary::Wrap<HistogramResult>(r));
-  auto hit = cache.Get(ComputationCache::Key("ds", "hist", /*seed=*/1));
-  EXPECT_FALSE(cache.Get(ComputationCache::Key("ds", "hist", /*seed=*/2)));
+  testing::CacheInsert(cache, ComputationCache::Key("ds", "hist", /*seed=*/1),
+                       AnySummary::Wrap<HistogramResult>(r));
+  auto hit = testing::CacheLookup(
+      cache, ComputationCache::Key("ds", "hist", /*seed=*/1));
+  EXPECT_FALSE(testing::CacheLookup(
+      cache, ComputationCache::Key("ds", "hist", /*seed=*/2)));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->As<HistogramResult>().counts, r.counts);
 }

@@ -307,16 +307,17 @@ TEST(Session, AdmissionControlShedsWhenSaturated) {
   }
 
   // Same session again: over its in-flight budget.
-  bool ran = true;
-  Status own_budget = scheduler.Execute(
-      0, nullptr, []() { return Status::OK(); }, &ran);
+  bool ran = false;
+  auto run = [&ran]() {
+    ran = true;
+    return Status::OK();
+  };
+  Status own_budget = scheduler.Execute(0, nullptr, run);
   EXPECT_EQ(own_budget.code(), StatusCode::kUnavailable);
   EXPECT_FALSE(ran);
 
   // Another session: the pool is saturated and the queue is full.
-  ran = true;
-  Status queue_full = scheduler.Execute(
-      1, nullptr, []() { return Status::OK(); }, &ran);
+  Status queue_full = scheduler.Execute(1, nullptr, run);
   EXPECT_EQ(queue_full.code(), StatusCode::kUnavailable);
   EXPECT_FALSE(ran);
 
@@ -341,9 +342,11 @@ TEST(Session, AdmissionControlShedsWhenEveryBreakerIsOpen) {
   ASSERT_EQ(health.num_open(), 2);
 
   QueryScheduler scheduler({}, &health);
-  bool ran = true;
-  Status s = scheduler.Execute(
-      0, nullptr, []() { return Status::OK(); }, &ran);
+  bool ran = false;
+  Status s = scheduler.Execute(0, nullptr, [&ran]() {
+    ran = true;
+    return Status::OK();
+  });
   EXPECT_EQ(s.code(), StatusCode::kUnavailable);
   EXPECT_FALSE(ran);
   EXPECT_EQ(scheduler.Snapshot().shed_unhealthy, 1);
@@ -444,10 +447,168 @@ TEST(Session, BreakerVerdictAndDegradedGuardAreSharedAcrossSessions) {
   EXPECT_EQ(SummaryBytes(a.value()), SummaryBytes(b.value()));
 }
 
-// BlockingLastFor with a cancellation token settles promptly when the token
+/// Holds every summarize until the test opens it, so a query over a
+/// GatedSketch stays in flight for exactly as long as the test needs.
+class Gate {
+ public:
+  void Open() {
+    MutexLock lock(mu_);
+    open_ = true;
+    cv_.NotifyAll();
+  }
+  void Wait() {
+    MutexLock lock(mu_);
+    ++arrived_;
+    cv_.NotifyAll();
+    while (!open_) cv_.Wait(mu_);
+  }
+  /// Blocks until `n` summarizes wait at the gate: once every partition's
+  /// has started, a cancellation has nothing left to catch in a queue.
+  void AwaitArrivals(int n) {
+    MutexLock lock(mu_);
+    while (arrived_ < n) cv_.Wait(mu_);
+  }
+
+ private:
+  Mutex mu_;
+  CondVar cv_;
+  bool open_ GUARDED_BY(mu_) = false;
+  int arrived_ GUARDED_BY(mu_) = 0;
+};
+
+class GatedSketch final : public Sketch<HistogramResult> {
+ public:
+  explicit GatedSketch(std::shared_ptr<Gate> gate) : gate_(std::move(gate)) {}
+  std::string name() const override { return inner_->name(); }
+  HistogramResult Zero() const override { return inner_->Zero(); }
+  HistogramResult Summarize(const Table& table, uint64_t seed) const override {
+    gate_->Wait();
+    return inner_->Summarize(table, seed);
+  }
+  HistogramResult Merge(const HistogramResult& left,
+                        const HistogramResult& right) const override {
+    return inner_->Merge(left, right);
+  }
+
+ private:
+  const SketchPtr<HistogramResult> inner_ = TestSketch();
+  const std::shared_ptr<Gate> gate_;
+};
+
+// A stream holds its dispatch slot until it settles. With one slot, a query
+// issued while a stream is in flight waits, and is granted only after the
+// stream's final value went out; a stream superseded by a new render frees
+// its slot when it settles Cancelled, which is what lets the new render's
+// stream in.
+TEST(Session, StreamHoldsItsGrantUntilItSettles) {
+  Cluster::Options options;
+  options.scheduler.dispatch_concurrency = 1;
+  std::vector<double> all_values;
+  auto mt = MultiTenant::Create(Partitions(&all_values), /*num_sessions=*/1,
+                                options);
+  ASSERT_NE(mt, nullptr);
+  RootSession& session = *mt->sessions[0];
+  QueryScheduler& scheduler = mt->cluster->scheduler();
+  const std::vector<uint8_t> reference = SummaryBytes(
+      TestSketch()->Summarize(*MakeDoubleTable("x", all_values), 0));
+  // Waits until `n` queries have reached admission, then gives a query that
+  // could be granted at once the time to be.
+  auto await_queued = [&](int64_t n) {
+    Stopwatch waited;
+    while (scheduler.Snapshot().submitted < n &&
+           waited.ElapsedMillis() < 5000) {
+      std::this_thread::yield();
+    }
+    EXPECT_EQ(scheduler.Snapshot().submitted, n);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  };
+
+  auto gate = std::make_shared<Gate>();
+  auto first = session.RunSketchStream<HistogramResult>(
+      "data", std::make_shared<GatedSketch>(gate));
+  std::atomic<double> first_progress{0.0};
+  first->Subscribe([&](const PartialResult<HistogramResult>& p) {
+    first_progress.store(p.progress);
+  });
+  std::atomic<bool> granted{false};
+  std::thread second([&]() {
+    Status s = scheduler.Execute(session.session_id(), nullptr, [&]() {
+      EXPECT_EQ(first_progress.load(), 1.0);
+      granted.store(true);
+      return Status::OK();
+    });
+    EXPECT_TRUE(s.ok());
+  });
+  await_queued(2);
+  EXPECT_FALSE(granted.load());  // queued behind the stream in flight
+  gate->Open();
+  second.join();
+  EXPECT_TRUE(granted.load());
+  auto first_last = first->BlockingLast();
+  ASSERT_TRUE(first->final_status().ok());
+  EXPECT_EQ(SummaryBytes(first_last->value), reference);
+
+  gate = std::make_shared<Gate>();
+  CancellationTokenPtr gen1 = session.BeginRender("view");
+  auto superseded = session.RunSketchStream<HistogramResult>(
+      "data", std::make_shared<GatedSketch>(gate), 0, gen1);
+  gate->AwaitArrivals(kPartitions);
+  CancellationTokenPtr gen2 = session.BeginRender("view");
+  StreamPtr<PartialResult<HistogramResult>> shown;
+  std::thread render([&]() {
+    shown = session.RunSketchStream<HistogramResult>("data", TestSketch(), 0,
+                                                     gen2);
+  });
+  await_queued(4);
+  EXPECT_EQ(scheduler.Snapshot().completed, 2);  // the superseded one holds
+  gate->Open();
+  render.join();
+  (void)superseded->BlockingLast();
+  EXPECT_EQ(superseded->final_status().code(), StatusCode::kCancelled);
+  auto shown_last = shown->BlockingLast();
+  ASSERT_TRUE(shown->final_status().ok());
+  EXPECT_EQ(SummaryBytes(shown_last->value), reference);
+
+  auto stats = scheduler.Snapshot();
+  EXPECT_EQ(stats.submitted, 4);
+  EXPECT_EQ(stats.completed, 4);
+  EXPECT_EQ(stats.max_running, 1);
+  EXPECT_EQ(stats.cancelled_in_queue, 0);
+}
+
+// A stream whose caller walks away — a superseded render, its stream and
+// its session all dropped while the query is still in flight — settles on
+// its own: it keeps the session alive until then, touches no freed state
+// (the ASan lane checks this), frees its grant, and then lets the session
+// go.
+TEST(Session, StreamSettlesAfterCallerAndSessionAreGone) {
+  auto mt = MultiTenant::Create(Partitions(nullptr), /*num_sessions=*/2);
+  ASSERT_NE(mt, nullptr);
+  auto gate = std::make_shared<Gate>();
+  std::weak_ptr<RootSession> gone = mt->sessions[1];
+  {
+    CancellationTokenPtr token = mt->sessions[1]->BeginRender("view");
+    auto stream = mt->sessions[1]->RunSketchStream<HistogramResult>(
+        "data", std::make_shared<GatedSketch>(gate), /*seed=*/0, token);
+    gate->AwaitArrivals(kPartitions);
+    (void)mt->sessions[1]->BeginRender("view");  // supersede it
+  }
+  mt->sessions.pop_back();
+  EXPECT_FALSE(gone.expired());  // the query in flight holds it
+  EXPECT_EQ(mt->cluster->scheduler().Snapshot().completed, 0);
+  gate->Open();
+  for (auto& worker : mt->workers) worker->Drain();
+  EXPECT_TRUE(gone.expired());
+  auto stats = mt->cluster->scheduler().Snapshot();
+  EXPECT_EQ(stats.submitted, 1);
+  EXPECT_EQ(stats.completed, 1);
+}
+
+// BlockingLast with a cancellation token settles promptly when the token
 // flips mid-wait — the reactive-layer primitive under every render
-// cancellation — and immediately when the token was already flipped.
-TEST(Session, BlockingLastForSettlesOnCancellation) {
+// cancellation — and immediately when the token was already flipped. The
+// stream itself is left running.
+TEST(Session, BlockingLastSettlesOnCancellation) {
   Stream<int> stream;
   stream.OnNext(7);
   auto token = std::make_shared<CancellationToken>();
@@ -455,23 +616,16 @@ TEST(Session, BlockingLastForSettlesOnCancellation) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     token->Cancel();
   });
-  bool timed_out = false;
-  bool cancelled = false;
-  Stopwatch watch;
-  auto last = stream.BlockingLastFor(/*timeout_ms=*/60000.0, &timed_out,
-                                     token, &cancelled);
+  auto last = stream.BlockingLast(token);
   canceller.join();
-  EXPECT_LT(watch.ElapsedMillis(), 30000.0);  // nowhere near the timeout
-  EXPECT_TRUE(cancelled);
-  EXPECT_FALSE(timed_out);
+  EXPECT_TRUE(token->IsCancelled());
+  EXPECT_FALSE(stream.IsDone());
   ASSERT_TRUE(last.has_value());  // the last partial is still handed back
   EXPECT_EQ(*last, 7);
 
   // Already-cancelled: returns without waiting at all.
-  bool cancelled2 = false;
-  auto again = stream.BlockingLastFor(/*timeout_ms=*/60000.0, &timed_out,
-                                      token, &cancelled2);
-  EXPECT_TRUE(cancelled2);
+  auto again = stream.BlockingLast(token);
+  EXPECT_FALSE(stream.IsDone());
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(*again, 7);
 }

@@ -93,16 +93,16 @@ TEST(SortKeyCache, MissThenHitThenClear) {
   SortKeyPlan plan(*t, order, SortKeyPlan::kDeferKeys);
   ASSERT_TRUE(plan.valid());
 
-  EXPECT_EQ(cache.Get(plan), nullptr);
+  EXPECT_EQ(cache.GetOrBuild(plan, /*build_allowed=*/false), nullptr);
   EXPECT_EQ(cache.Snapshot().misses, 1);
   EXPECT_EQ(cache.Snapshot().hits, 0);
 
   auto keys = plan.BuildKeys();
-  cache.Put(plan, keys);
+  cache.Put(plan, keys, cache.generation());
   EXPECT_EQ(cache.Snapshot().entries, 1u);
   EXPECT_EQ(cache.Snapshot().bytes_used, 300u * sizeof(uint64_t));
 
-  auto cached = cache.Get(plan);
+  auto cached = cache.GetOrBuild(plan, /*build_allowed=*/false);
   ASSERT_NE(cached, nullptr);
   EXPECT_EQ(cached.get(), keys.get());  // the same vector, not a copy
   EXPECT_EQ(cache.Snapshot().hits, 1);
@@ -110,7 +110,7 @@ TEST(SortKeyCache, MissThenHitThenClear) {
   cache.Clear();
   EXPECT_EQ(cache.Snapshot().entries, 0u);
   EXPECT_EQ(cache.Snapshot().bytes_used, 0u);
-  EXPECT_EQ(cache.Get(plan), nullptr);
+  EXPECT_EQ(cache.GetOrBuild(plan, /*build_allowed=*/false), nullptr);
   EXPECT_EQ(cache.Snapshot().misses, 2);
 }
 
@@ -148,12 +148,12 @@ TEST(SortKeyCache, HitRestoresEncodingsWithoutPrePasses) {
   SortKeyCache cache;
   SortKeyPlan filler(*t, order, SortKeyPlan::kDeferKeys);
   auto built = filler.BuildKeys();
-  cache.Put(filler, built);
+  cache.Put(filler, built, cache.generation());
   ASSERT_TRUE(filler.packed());
 
   SortKeyPlan reader(*t, order, SortKeyPlan::kDeferKeys);
   EXPECT_FALSE(reader.encodings_ready());
-  auto keys = cache.Get(reader);
+  auto keys = cache.GetOrBuild(reader, /*build_allowed=*/false);
   ASSERT_NE(keys, nullptr);
   EXPECT_TRUE(reader.encodings_ready());
   EXPECT_TRUE(reader.packed());
@@ -180,13 +180,14 @@ TEST(SortKeyCache, EncodingSnapshotSurvivesUncacheableKeys) {
   RecordOrder order({{"a", true}, {"b", false}});
   SortKeyCache cache(/*max_bytes=*/10 * sizeof(uint64_t));  // 200 > 10
   SortKeyPlan filler(*t, order, SortKeyPlan::kDeferKeys);
-  cache.Put(filler, filler.BuildKeys());
+  cache.Put(filler, filler.BuildKeys(), cache.generation());
   ASSERT_TRUE(filler.packed());
   EXPECT_EQ(cache.Snapshot().entries, 0u);  // keys refused: over budget
 
   SortKeyPlan reader(*t, order, SortKeyPlan::kDeferKeys);
   EXPECT_FALSE(reader.encodings_ready());
-  EXPECT_EQ(cache.Get(reader), nullptr);  // still a key miss...
+  // Still a key miss...
+  EXPECT_EQ(cache.GetOrBuild(reader, /*build_allowed=*/false), nullptr);
   EXPECT_TRUE(reader.encodings_ready());  // ...but the shape was adopted
   EXPECT_EQ(cache.Snapshot().encoding_hits, 1);
   EXPECT_EQ(reader.packed(), filler.packed());
@@ -195,7 +196,7 @@ TEST(SortKeyCache, EncodingSnapshotSurvivesUncacheableKeys) {
   // Snapshots are soft state like everything else: Clear() drops them.
   cache.Clear();
   SortKeyPlan later(*t, order, SortKeyPlan::kDeferKeys);
-  EXPECT_EQ(cache.Get(later), nullptr);
+  EXPECT_EQ(cache.GetOrBuild(later, /*build_allowed=*/false), nullptr);
   EXPECT_FALSE(later.encodings_ready());
 }
 
@@ -313,22 +314,22 @@ TEST(SortKeyCache, ByteBudgetEvictsLeastRecentlyUsed) {
   SortKeyPlan pa(*a, order, SortKeyPlan::kDeferKeys);
   SortKeyPlan pb(*b, order, SortKeyPlan::kDeferKeys);
   SortKeyPlan pc(*c, order, SortKeyPlan::kDeferKeys);
-  cache.Put(pa, pa.BuildKeys());
-  cache.Put(pb, pb.BuildKeys());
+  cache.Put(pa, pa.BuildKeys(), cache.generation());
+  cache.Put(pb, pb.BuildKeys(), cache.generation());
   EXPECT_EQ(cache.Snapshot().entries, 2u);
   // Touch a so b becomes the LRU victim.
-  EXPECT_NE(cache.Get(pa), nullptr);
-  cache.Put(pc, pc.BuildKeys());
+  EXPECT_NE(cache.GetOrBuild(pa, /*build_allowed=*/false), nullptr);
+  cache.Put(pc, pc.BuildKeys(), cache.generation());
   EXPECT_EQ(cache.Snapshot().entries, 2u);
   EXPECT_EQ(cache.Snapshot().evictions, 1);
-  EXPECT_NE(cache.Get(pa), nullptr);
-  EXPECT_NE(cache.Get(pc), nullptr);
-  EXPECT_EQ(cache.Get(pb), nullptr);  // evicted
+  EXPECT_NE(cache.GetOrBuild(pa, /*build_allowed=*/false), nullptr);
+  EXPECT_NE(cache.GetOrBuild(pc, /*build_allowed=*/false), nullptr);
+  EXPECT_EQ(cache.GetOrBuild(pb, /*build_allowed=*/false), nullptr);  // gone
   // An entry larger than the whole budget is not cached at all.
   TablePtr big = MakeTable(500, 4);
   SortKeyPlan pbig(*big, order, SortKeyPlan::kDeferKeys);
-  cache.Put(pbig, pbig.BuildKeys());
-  EXPECT_EQ(cache.Get(pbig), nullptr);
+  cache.Put(pbig, pbig.BuildKeys(), cache.generation());
+  EXPECT_EQ(cache.GetOrBuild(pbig, /*build_allowed=*/false), nullptr);
 }
 
 TEST(SortKeyCache, DeadColumnsAreNeverServed) {
@@ -337,7 +338,7 @@ TEST(SortKeyCache, DeadColumnsAreNeverServed) {
   {
     TablePtr t = MakeTable(150);
     SortKeyPlan plan(*t, order, SortKeyPlan::kDeferKeys);
-    cache.Put(plan, plan.BuildKeys());
+    cache.Put(plan, plan.BuildKeys(), cache.generation());
     EXPECT_EQ(cache.Snapshot().entries, 1u);
   }
   // The table (and its columns) died; even if a new column were allocated at
@@ -347,7 +348,7 @@ TEST(SortKeyCache, DeadColumnsAreNeverServed) {
   // dropped when a lookup would have matched it only by address reuse.
   TablePtr fresh = MakeTable(150);
   SortKeyPlan plan(*fresh, order, SortKeyPlan::kDeferKeys);
-  EXPECT_EQ(cache.Get(plan), nullptr);
+  EXPECT_EQ(cache.GetOrBuild(plan, /*build_allowed=*/false), nullptr);
   EXPECT_EQ(cache.Snapshot().misses, 1);
 }
 
@@ -359,10 +360,10 @@ TEST(SortKeyCache, FilterDerivedTablesShareTheParentEntry) {
   RecordOrder order({{"x", true}});
   SortKeyCache cache;
   SortKeyPlan full_plan(*t, order, SortKeyPlan::kDeferKeys);
-  cache.Put(full_plan, full_plan.BuildKeys());
+  cache.Put(full_plan, full_plan.BuildKeys(), cache.generation());
   SortKeyPlan zoom_plan(*zoomed, order, SortKeyPlan::kDeferKeys);
   EXPECT_EQ(zoom_plan.CacheKey(), full_plan.CacheKey());
-  EXPECT_NE(cache.Get(zoom_plan), nullptr);
+  EXPECT_NE(cache.GetOrBuild(zoom_plan, /*build_allowed=*/false), nullptr);
   EXPECT_EQ(cache.Snapshot().hits, 1);
 }
 

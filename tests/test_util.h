@@ -2,10 +2,13 @@
 #define HILLVIEW_TESTS_TEST_UTIL_H_
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/root.h"
+#include "core/computation_cache.h"
 #include "core/dataset.h"
 #include "storage/table.h"
 #include "util/random.h"
@@ -54,6 +57,26 @@ inline std::vector<std::vector<double>> SplitValues(
     out[i % parts].push_back(values[i]);
   }
   return out;
+}
+
+/// A ComputationCache lookup the way the root makes one, through the
+/// single-flight protocol: a miss elects the caller, which releases the
+/// flight empty. Counts exactly one hit, miss or coalesced hit.
+inline std::optional<AnySummary> CacheLookup(ComputationCache& cache,
+                                             const std::string& key) {
+  bool owner = false;
+  std::optional<AnySummary> hit = cache.GetOrBeginCompute(key, &owner);
+  if (owner) cache.FinishCompute(key, std::nullopt);
+  return hit;
+}
+
+/// Computes `value` under `key` the way the root does: it is published only
+/// if this caller wins the flight (a present entry is a hit and stays).
+inline void CacheInsert(ComputationCache& cache, const std::string& key,
+                        AnySummary value) {
+  bool owner = false;
+  (void)cache.GetOrBeginCompute(key, &owner);
+  if (owner) cache.FinishCompute(key, std::move(value));
 }
 
 /// An in-process cluster for tests: `workers` workers × `threads` threads,
