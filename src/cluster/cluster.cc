@@ -28,5 +28,17 @@ std::shared_ptr<RootSession> Cluster::OpenSession() {
   return std::shared_ptr<RootSession>(new RootSession(this, id));
 }
 
+void Cluster::RecordPartitions(const std::string& dataset_id,
+                               std::vector<int> per_worker) {
+  MutexLock lock(mutex_);
+  partitions_[dataset_id] = std::move(per_worker);
+}
+
+std::vector<int> Cluster::Partitions(const std::string& dataset_id) const {
+  MutexLock lock(mutex_);
+  auto it = partitions_.find(dataset_id);
+  return it == partitions_.end() ? std::vector<int>() : it->second;
+}
+
 }  // namespace cluster
 }  // namespace hillview

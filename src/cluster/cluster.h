@@ -3,6 +3,8 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/network.h"
@@ -11,6 +13,7 @@
 #include "cluster/worker_health.h"
 #include "core/computation_cache.h"
 #include "core/dataset.h"
+#include "util/thread_annotations.h"
 
 namespace hillview {
 namespace cluster {
@@ -35,6 +38,9 @@ class RootSession;
 ///    results (see ComputationCache::GetOrBeginCompute).
 ///  - **QueryScheduler**: deficit-round-robin fairness and admission control
 ///    across the sessions' queries.
+///  - **Partition record**: how many partitions the root assigned each
+///    worker per dataset id, so a degraded merge weighs a restarted worker
+///    by what it should hold rather than by what it still knows.
 ///
 /// Sessions share the worker-side dataset namespace: LoadDataSet under the
 /// same id from two sessions registers the same (deterministic) loaders, and
@@ -92,6 +98,14 @@ class Cluster {
   /// Sessions opened so far (session ids are 0..n-1).
   int sessions_opened() const { return next_session_id_.load(); }
 
+  /// Records how many partitions the root assigned to each worker for
+  /// `dataset_id`. Dataset ids are cluster-global, so the record is too.
+  void RecordPartitions(const std::string& dataset_id,
+                        std::vector<int> per_worker) EXCLUDES(mutex_);
+  /// The recorded per-worker counts, or empty for an unrecorded id.
+  std::vector<int> Partitions(const std::string& dataset_id) const
+      EXCLUDES(mutex_);
+
  private:
   std::vector<WorkerPtr> workers_;
   SimulatedNetwork* network_;
@@ -100,6 +114,9 @@ class Cluster {
   ComputationCache shared_cache_;
   QueryScheduler scheduler_;
   std::atomic<int> next_session_id_{0};
+  mutable Mutex mutex_;
+  std::unordered_map<std::string, std::vector<int>> partitions_
+      GUARDED_BY(mutex_);
 };
 
 }  // namespace cluster

@@ -317,10 +317,14 @@ DataSetPtr RemoteDataSet::Map(TableMap map, const std::string& op_name) {
   // as Unavailable on the proxy's first use and is healed by redo-log replay.
   (void)worker_->ApplyMap(dataset_id_, new_id, std::move(map), op_name);
   return std::make_shared<RemoteDataSet>(worker_, new_id, network_,
-                                         worker_index_, health_);
+                                         worker_index_, health_,
+                                         num_partitions_);
 }
 
 int RemoteDataSet::NumPartitions() const {
+  // A worker that restarted has lost the dataset and would answer 1, which
+  // misweighs a degraded merge's coverage; the root's record does not.
+  if (num_partitions_ >= 0) return num_partitions_;
   auto dataset = worker_->GetDataSet(dataset_id_);
   if (!dataset.ok()) return 1;
   return dataset.value()->NumPartitions();

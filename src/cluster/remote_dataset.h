@@ -39,15 +39,18 @@ namespace cluster {
 /// while the breaker is open) and reports each RPC's terminal outcome back.
 class RemoteDataSet final : public IDataSet {
  public:
+  /// `num_partitions` is the count the root assigned to this worker, or -1
+  /// when the root never recorded it; NumPartitions() then asks the worker.
   RemoteDataSet(WorkerPtr worker, std::string dataset_id,
                 SimulatedNetwork* network, int worker_index = -1,
-                WorkerHealth* health = nullptr)
+                WorkerHealth* health = nullptr, int num_partitions = -1)
       : worker_(std::move(worker)),
         dataset_id_(std::move(dataset_id)),
         id_("remote:" + worker_->name() + "/" + dataset_id_),
         network_(network),
         worker_index_(worker_index),
-        health_(health) {}
+        health_(health),
+        num_partitions_(num_partitions) {}
 
   const std::string& id() const override { return id_; }
 
@@ -73,6 +76,7 @@ class RemoteDataSet final : public IDataSet {
   SimulatedNetwork* network_;
   int worker_index_;       // channel id for fault injection; -1 = untracked
   WorkerHealth* health_;   // root's breaker; may be null (no gating)
+  int num_partitions_;     // -1 = unrecorded: ask the worker
 };
 
 }  // namespace cluster

@@ -6,18 +6,6 @@
 namespace hillview {
 namespace cluster {
 
-namespace {
-
-/// Retriable at the query level: soft-state loss (heals via replay) and
-/// transport/deadline faults the RPC edge could not heal (degrade). Anything
-/// else — including Cancelled — is final and fails the query immediately.
-bool Retriable(const Status& s) {
-  return s.code() == StatusCode::kUnavailable ||
-         s.code() == StatusCode::kDeadlineExceeded;
-}
-
-}  // namespace
-
 Status RootSession::LoadDataSet(
     const std::string& dataset_id,
     std::vector<LocalDataSet::Loader> partition_loaders) {
@@ -39,6 +27,11 @@ Status RootSession::LoadDataSet(
     return Status::OK();
   };
   HV_RETURN_IF_ERROR(do_register());
+  std::vector<int> per_worker(cluster_->workers().size(), 0);
+  for (size_t p = 0; p < partition_loaders.size(); ++p) {
+    ++per_worker[p % per_worker.size()];
+  }
+  cluster_->RecordPartitions(dataset_id, std::move(per_worker));
   redo_log_.Append("load",
                    dataset_id + " (" +
                        std::to_string(partition_loaders.size()) +
@@ -58,6 +51,10 @@ Result<std::string> RootSession::MapDataSet(const std::string& parent_id,
     return Status::OK();
   };
   HV_RETURN_IF_ERROR(do_map());
+  std::vector<int> per_worker = cluster_->Partitions(parent_id);
+  if (!per_worker.empty()) {
+    cluster_->RecordPartitions(new_id, std::move(per_worker));
+  }
   redo_log_.Append("map", parent_id + " -> " + new_id, 0, do_map);
   return new_id;
 }
@@ -75,16 +72,18 @@ SketchOptions RootSession::QueryOptions(uint64_t seed,
 DataSetPtr RootSession::GetRootDataSet(const std::string& dataset_id,
                                        bool tolerant) {
   const std::vector<WorkerPtr>& workers = cluster_->workers();
+  const std::vector<int> partitions = cluster_->Partitions(dataset_id);
   std::vector<DataSetPtr> children;
   children.reserve(workers.size());
   for (size_t w = 0; w < workers.size(); ++w) {
     // Every machine-boundary edge knows its worker index (the fault-injection
     // channel id) and reports RPC outcomes to the shared health tracker, so
     // the breaker learns from all sessions' traffic regardless of degraded
-    // mode.
+    // mode. Its merge weight is the root's record, never a question to a
+    // worker that may have restarted.
     children.push_back(std::make_shared<RemoteDataSet>(
         workers[w], dataset_id, cluster_->network(), static_cast<int>(w),
-        &cluster_->health()));
+        &cluster_->health(), partitions.empty() ? -1 : partitions[w]));
   }
   ParallelDataSet::Options aggregation = cluster_->options().aggregation;
   aggregation.tolerate_child_failures = tolerant;
@@ -197,7 +196,7 @@ class RootSession::Query : public std::enable_shared_from_this<Query> {
     bool replay = false;
     {
       MutexLock lock(mutex_);
-      if (!status.ok() && Retriable(status) && !degraded_pass_) {
+      if (IsTransient(status) && !degraded_pass_) {
         // Every earlier retry was a replay: the degraded pass is the last.
         failed_attempt = stats_.replay_heals;
         replay = status.code() == StatusCode::kUnavailable &&
@@ -217,7 +216,7 @@ class RootSession::Query : public std::enable_shared_from_this<Query> {
       // Lazy replay (§5.7). A retriable replay failure (a worker died again
       // mid-heal) already spent a slot of the budget: retry and heal again.
       Status replayed = session_->redo_log_.ReplayAll();
-      if (!replayed.ok() && !Retriable(replayed)) {
+      if (!replayed.ok() && !IsTransient(replayed)) {
         Settle(replayed);
         return;
       }

@@ -2,14 +2,12 @@
 #define HILLVIEW_CORE_COMPUTATION_CACHE_H_
 
 #include <cstdint>
-#include <list>
-#include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "core/any_sketch.h"
+#include "util/single_flight_lru.h"
 #include "util/thread_annotations.h"
 
 namespace hillview {
@@ -20,25 +18,24 @@ namespace hillview {
 /// sketches should be cached (randomized ones are keyed with their seed via
 /// the sketch name, so caching them is safe but rarely useful).
 ///
-/// Multi-tenant sharing happens through the single-flight protocol
-/// (GetOrBeginCompute / FinishCompute, the same shape as
-/// SortKeyCache::GetOrBuild): when N sessions race the same key, exactly one
-/// becomes the flight owner and computes; the others park and adopt its
-/// result (`coalesced_hits`). An owner that finishes WITHOUT a publishable
-/// value — degraded coverage, cancellation, an error — releases the flight
-/// empty and the waiters re-elect a new owner, so a partial result is never
-/// served across sessions and a cancelled winner never starves the losers.
+/// Multi-tenant sharing is the SingleFlightLru protocol at cost 1 per entry:
+/// when N sessions race the same key, exactly one becomes the flight owner
+/// and computes; the others park and adopt its result (`coalesced_hits`). An
+/// owner that finishes WITHOUT a publishable value — degraded coverage,
+/// cancellation, an error — releases the flight empty and a waiter is
+/// re-elected, so a partial result is never served across sessions and a
+/// cancelled winner never starves the losers.
 ///
-/// Thread-safe: one capability-annotated mutex guards the map, the LRU list,
-/// the in-flight table and every counter; stats are only exposed as a single
-/// locked Snapshot() so multi-counter reads can never tear against a
-/// concurrent scan.
+/// Thread-safe: one mutex guards the protocol state and every counter;
+/// stats are only exposed as a single locked Snapshot().
 class ComputationCache {
  public:
-  /// One consistent observability snapshot, taken under the lock.
+  /// One consistent observability snapshot, taken under the lock. Every
+  /// GetOrBeginCompute counts exactly one hit, miss or coalesced hit.
   struct Stats {
     size_t entries = 0;
     int64_t hits = 0;
+    /// Calls elected owner: computations started.
     int64_t misses = 0;
     int64_t evictions = 0;
     /// Waiters that adopted another caller's in-flight result instead of
@@ -47,7 +44,7 @@ class ComputationCache {
   };
 
   explicit ComputationCache(size_t max_entries = 4096)
-      : max_entries_(max_entries) {}
+      : summaries_(max_entries) {}
 
   /// Cache key for one seeded run. Sketch names do not always encode the
   /// seed (e.g. SampledHistogramSketch), so the seed must be part of the key
@@ -57,120 +54,52 @@ class ComputationCache {
     return dataset_id + "#" + sketch_name + "@" + std::to_string(seed);
   }
 
-  /// Single-flight lookup. Outcomes:
-  ///   - cached value present: returns it (*owner = false; a hit).
-  ///   - miss, no flight for this key: the caller is elected owner
-  ///     (*owner = true, returns nullopt) and MUST later call FinishCompute
-  ///     exactly once, on every path (success, degraded, cancelled, error).
-  ///   - miss, flight in progress: parks until the owner finishes; a
-  ///     published value is adopted (*owner = false, *coalesced = true), an
-  ///     empty finish loops to re-elect — possibly making this caller the
-  ///     new owner.
+  /// Single-flight lookup: a cached or adopted value is returned
+  /// (*owner = false; `*coalesced` says which). Otherwise the caller is the
+  /// owner (*owner = true, returns nullopt) and MUST later call
+  /// FinishCompute exactly once, on every path.
   std::optional<AnySummary> GetOrBeginCompute(const std::string& key,
                                               bool* owner,
                                               bool* coalesced = nullptr)
       EXCLUDES(mutex_) {
+    std::optional<AnySummary> value;
     MutexLock lock(mutex_);
-    if (coalesced != nullptr) *coalesced = false;
-    for (;;) {
-      auto it = entries_.find(key);
-      if (it != entries_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second.lru_position);
-        ++hits_;
-        *owner = false;
-        return it->second.summary;
-      }
-      auto flight_it = flights_.find(key);
-      if (flight_it == flights_.end()) {
-        ++misses_;
-        flights_[key] = std::make_shared<Flight>();
-        *owner = true;
-        return std::nullopt;
-      }
-      std::shared_ptr<Flight> flight = flight_it->second;
-      while (!flight->done) flight_cv_.Wait(mutex_);
-      if (flight->result.has_value()) {
-        ++coalesced_hits_;
-        *owner = false;
-        if (coalesced != nullptr) *coalesced = true;
-        return flight->result;
-      }
-      // The owner finished empty (degraded / cancelled / failed): loop and
-      // try again — this waiter may become the next owner.
-    }
+    const auto outcome =
+        summaries_.Acquire(mutex_, key, /*may_own=*/true,
+                           [&value](const AnySummary& s) { value = s; });
+    *owner = outcome == Lru::Outcome::kOwner;
+    if (coalesced != nullptr) *coalesced = outcome == Lru::Outcome::kCoalesced;
+    return value;
   }
 
   /// Completes a flight begun by GetOrBeginCompute. A value publishes the
-  /// result to the cache AND to every parked waiter; nullopt releases the
+  /// result to the cache and to every parked waiter; nullopt releases the
   /// flight empty (degraded results are never cached, and never served to
-  /// another session). Tolerates a missing flight so defensive
-  /// double-finishes are harmless.
+  /// another session).
   void FinishCompute(const std::string& key, std::optional<AnySummary> value)
       EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
-    auto it = flights_.find(key);
-    if (it == flights_.end()) return;
-    std::shared_ptr<Flight> flight = it->second;
-    flights_.erase(it);
-    flight->done = true;
-    flight->result = value;  // waiters adopt from the flight, not the LRU
-    if (value.has_value()) PutLocked(key, std::move(*value));
-    flight_cv_.NotifyAll();
+    summaries_.Finish(key, std::move(value), /*cost=*/1);
   }
 
   void Clear() EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
-    entries_.clear();
-    lru_.clear();
+    summaries_.Clear();
   }
 
   /// All counters and the entry count, read atomically under the lock.
   Stats Snapshot() const EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
-    return Stats{entries_.size(), hits_, misses_, evictions_,
-                 coalesced_hits_};
+    const Lru::Counters& c = summaries_.counters();
+    return Stats{summaries_.size(), c.hits, c.owners, c.evictions,
+                 c.coalesced};
   }
 
  private:
-  struct Entry {
-    AnySummary summary;
-    std::list<std::string>::iterator lru_position;
-  };
-
-  /// One in-flight computation; waiters park on flight_cv_ and hold the
-  /// shared_ptr so the owner can drop the map entry while they drain.
-  struct Flight {
-    bool done = false;
-    std::optional<AnySummary> result;
-  };
-
-  void PutLocked(const std::string& key, AnySummary summary) REQUIRES(mutex_) {
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      it->second.summary = std::move(summary);
-      lru_.splice(lru_.begin(), lru_, it->second.lru_position);
-      return;
-    }
-    lru_.push_front(key);
-    entries_[key] = Entry{std::move(summary), lru_.begin()};
-    if (entries_.size() > max_entries_) {
-      entries_.erase(lru_.back());
-      lru_.pop_back();
-      ++evictions_;
-    }
-  }
+  using Lru = SingleFlightLru<AnySummary>;
 
   mutable Mutex mutex_;
-  CondVar flight_cv_;
-  size_t max_entries_;
-  std::unordered_map<std::string, Entry> entries_ GUARDED_BY(mutex_);
-  std::unordered_map<std::string, std::shared_ptr<Flight>> flights_
-      GUARDED_BY(mutex_);
-  std::list<std::string> lru_ GUARDED_BY(mutex_);  // front = most recent
-  int64_t hits_ GUARDED_BY(mutex_) = 0;
-  int64_t misses_ GUARDED_BY(mutex_) = 0;
-  int64_t evictions_ GUARDED_BY(mutex_) = 0;
-  int64_t coalesced_hits_ GUARDED_BY(mutex_) = 0;
+  Lru summaries_ GUARDED_BY(mutex_);
 };
 
 }  // namespace hillview

@@ -53,32 +53,34 @@ void LocalDataSet::Evict() {
   cached_ = nullptr;
 }
 
+Result<AnySummary> LocalDataSet::Summarize(const AnySketch& sketch,
+                                           const SketchOptions& options) {
+  const CancellationTokenPtr& cancel = options.cancellation;
+  if (cancel != nullptr && cancel->IsCancelled()) {
+    return Status::Cancelled("cancelled before start");
+  }
+  HV_ASSIGN_OR_RETURN(TablePtr table, GetTable());
+  AnySummary summary = sketch.Summarize(
+      *table, options.seed,
+      SketchContext{/*aux_pool=*/options.aux_pool,
+                    /*key_cache=*/options.key_cache, /*cancellation=*/cancel});
+  if (cancel != nullptr && cancel->IsCancelled()) {
+    // Superseded mid-scan: the morsel fan-out may have abandoned ranges, so
+    // the summary can be incomplete and must not be emitted where a merger
+    // would take it for the partition's total.
+    return Status::Cancelled("cancelled during summarize");
+  }
+  return summary;
+}
+
 StreamPtr<PartialResult<AnySummary>> LocalDataSet::RunSketch(
     const AnySketch& sketch, const SketchOptions& options) {
   auto stream = std::make_shared<Stream<PartialResult<AnySummary>>>();
-  if (options.cancellation != nullptr && options.cancellation->IsCancelled()) {
-    stream->OnComplete(Status::Cancelled("cancelled before start"));
-    return stream;
+  Result<AnySummary> summary = Summarize(sketch, options);
+  if (summary.ok()) {
+    stream->OnNext(PartialResult<AnySummary>{1.0, summary.Take()});
   }
-  auto table = GetTable();
-  if (!table.ok()) {
-    stream->OnComplete(table.status());
-    return stream;
-  }
-  AnySummary summary =
-      sketch.Summarize(*table.value(), options.seed,
-                       SketchContext{/*aux_pool=*/options.aux_pool,
-                                     /*key_cache=*/options.key_cache,
-                                     /*cancellation=*/options.cancellation});
-  if (options.cancellation != nullptr && options.cancellation->IsCancelled()) {
-    // The render was superseded mid-scan: the morsel fan-out may have
-    // abandoned ranges, so the summary can be incomplete and must not be
-    // emitted where a merger would take it for the partition's total.
-    stream->OnComplete(Status::Cancelled("cancelled during summarize"));
-    return stream;
-  }
-  stream->OnNext(PartialResult<AnySummary>{1.0, std::move(summary)});
-  stream->OnComplete(Status::OK());
+  stream->OnComplete(summary.status());
   return stream;
 }
 
@@ -136,14 +138,6 @@ struct Merger {
     total_weight = 0;
     for (double w : this->weights) total_weight += w;
     if (total_weight <= 0) total_weight = 1;
-  }
-
-  /// Faults degraded mode may absorb: soft-state loss (heals via replay)
-  /// and transport/deadline misses (heal via retry). Anything else —
-  /// Cancelled, InvalidArgument, Internal — still fails the query strictly.
-  static bool Tolerable(const Status& s) {
-    return s.code() == StatusCode::kUnavailable ||
-           s.code() == StatusCode::kDeadlineExceeded;
   }
 
   AnySummary MergeAllLocked() REQUIRES(mutex) {
@@ -214,7 +208,7 @@ struct Merger {
     }
     ++completed;
     if (!status.ok()) {
-      if (options.tolerate_child_failures && Tolerable(status)) {
+      if (options.tolerate_child_failures && IsTransient(status)) {
         // Degraded mode: the child is lost, not the query. Exclude whatever
         // it already contributed — a partial summary from a dead machine
         // must not be mistaken for its full partition.
@@ -298,34 +292,12 @@ StreamPtr<PartialResult<AnySummary>> ParallelDataSet::RunSketch(
       int child_index = static_cast<int>(i);
       bool submitted =
           pool_->Submit([merger, leaf, sketch, child_options, child_index] {
-            if (child_options.cancellation != nullptr &&
-                child_options.cancellation->IsCancelled()) {
-              merger->Complete(child_index,
-                               Status::Cancelled("cancelled in queue"));
-              return;
+            Result<AnySummary> summary = leaf->Summarize(sketch, child_options);
+            if (summary.ok()) {
+              merger->Update(child_index,
+                             PartialResult<AnySummary>{1.0, summary.Take()});
             }
-            auto table = leaf->GetTable();
-            if (!table.ok()) {
-              merger->Complete(child_index, table.status());
-              return;
-            }
-            AnySummary summary = sketch.Summarize(
-                *table.value(), child_options.seed,
-                SketchContext{/*aux_pool=*/child_options.aux_pool,
-                              /*key_cache=*/child_options.key_cache,
-                              /*cancellation=*/child_options.cancellation});
-            if (child_options.cancellation != nullptr &&
-                child_options.cancellation->IsCancelled()) {
-              // Superseded mid-scan: the morsel fan-out may have skipped
-              // ranges, so the summary is untrustworthy — complete Cancelled
-              // instead of merging it.
-              merger->Complete(child_index,
-                               Status::Cancelled("cancelled during summarize"));
-              return;
-            }
-            merger->Update(child_index,
-                           PartialResult<AnySummary>{1.0, std::move(summary)});
-            merger->Complete(child_index, Status::OK());
+            merger->Complete(child_index, summary.status());
           });
       if (!submitted) {
         // A shut-down pool drops the task; completing the child here keeps

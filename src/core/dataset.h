@@ -40,10 +40,9 @@ struct SketchOptions {
   /// byte counters make bandwidth fairness observable across tenants
   /// (cluster::RootSession fills it in; -1 = untagged single-session use).
   int session_id = -1;
-  /// Worker-local auxiliary pool provider forwarded to sketches via
-  /// SketchContext (cluster::RemoteDataSet injects the receiving worker's
-  /// provider). A provider rather than a pointer, so the pool is created
-  /// only when a sketch asks for it. May be empty; sketches then run their
+  /// Worker-local pool provider for intra-partition parallelism, forwarded
+  /// to sketches via SketchContext (cluster::RemoteDataSet injects the
+  /// receiving worker's own pool). May be empty; sketches then run their
   /// helper work inline.
   std::function<ThreadPool*()> aux_pool;
   /// Worker-resident sort-key cache provider, forwarded the same way
@@ -196,6 +195,13 @@ class LocalDataSet final : public IDataSet,
 
   /// Materializes (or returns the cached) partition table.
   Result<TablePtr> GetTable() EXCLUDES(mutex_);
+
+  /// This partition's summary: cancellation is checked before the table
+  /// loads and again after the scan, and a cancelled scan returns
+  /// Cancelled rather than a summary that may cover part of the partition.
+  /// RunSketch and ParallelDataSet's pool tasks both run it.
+  Result<AnySummary> Summarize(const AnySketch& sketch,
+                               const SketchOptions& options);
 
   /// True if the partition is currently materialized in memory.
   bool IsMaterialized() const EXCLUDES(mutex_);

@@ -14,16 +14,15 @@ class ThreadPool;
 class SortKeyCache;
 
 /// Optional worker-local resources handed to a sketch execution by the
-/// engine. `aux_pool` provides an auxiliary helper pool for intra-partition
-/// parallelism (e.g. find-text matching a huge dictionary); it is distinct
-/// from the pool that runs Summarize itself, so blocking on submitted chunks
-/// cannot deadlock the partition scheduler. `key_cache` provides the
-/// worker-resident sort-key cache so order-based sketches reuse materialized
-/// key columns across repeated scrolls of the same view. Both are
-/// *providers*, not pointers, so the resource is only touched when a sketch
-/// actually asks for it. Either may be empty (single-threaded callers:
-/// tests, benches, standalone examples); sketches then work inline /
-/// rebuild keys per scan.
+/// engine. `aux_pool` provides the pool for intra-partition parallelism
+/// (morsels, find-text matching a huge dictionary). On a worker it is the
+/// same pool that runs Summarize itself; fanning out on it cannot deadlock
+/// because ParallelApply's caller works through the items alongside the
+/// pool's threads and never waits for queue capacity (util/thread_pool.h).
+/// `key_cache` provides the worker-resident sort-key cache so order-based
+/// sketches reuse materialized key columns across repeated scrolls of the
+/// same view. Either may be empty (single-threaded callers: tests, benches,
+/// standalone examples); sketches then work inline / rebuild keys per scan.
 ///
 /// `cancellation` carries the render's cancellation token down to the morsel
 /// fan-out (sketch/morsel.h): a superseded render stops scheduling new

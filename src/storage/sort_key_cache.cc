@@ -5,223 +5,125 @@
 
 namespace hillview {
 
-SortKeyCache::KeysPtr SortKeyCache::LookupLocked(const std::string& key,
-                                                 SortKeyPlan& plan,
-                                                 bool count_miss) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    if (count_miss) ++misses_;
-    AdoptEncodingsLocked(key, plan);
-    return nullptr;
-  }
-  // Validate liveness: every column the entry was built from must still be
-  // the exact object the querying plan bound. An expired weak_ptr means the
-  // column died and the address may have been recycled; drop the entry.
+SortKeyCache::Encodings SortKeyCache::EncodingsOf(const SortKeyPlan& plan) {
+  return Encodings{plan.encodings(),
+                   std::vector<std::weak_ptr<const IColumn>>(
+                       plan.key_columns().begin(), plan.key_columns().end())};
+}
+
+bool SortKeyCache::Live(const Encodings& e, const SortKeyPlan& plan) {
+  // An expired weak_ptr means the column died and the address may have been
+  // recycled: the entry must not be served.
   const auto& plan_columns = plan.key_columns();
-  bool live = it->second.columns.size() == plan_columns.size();
-  for (size_t i = 0; live && i < plan_columns.size(); ++i) {
-    auto locked = it->second.columns[i].lock();
-    live = locked != nullptr && locked.get() == plan_columns[i].get();
+  if (e.columns.size() != plan_columns.size()) return false;
+  for (size_t i = 0; i < plan_columns.size(); ++i) {
+    auto locked = e.columns[i].lock();
+    if (locked == nullptr || locked.get() != plan_columns[i].get()) {
+      return false;
+    }
   }
-  if (!live) {
-    bytes_used_ -= it->second.bytes;
-    lru_.erase(it->second.lru_position);
-    entries_.erase(it);
-    ++evictions_;
-    if (count_miss) ++misses_;
-    // Dead columns also invalidate the side-cached snapshot (same key, same
-    // liveness rule) — no adoption attempt.
-    encoding_entries_.erase(key);
-    return nullptr;
+  return true;
+}
+
+bool SortKeyCache::Dead(const Encodings& e) {
+  for (const auto& column : e.columns) {
+    if (column.expired()) return true;
   }
-  lru_.splice(lru_.begin(), lru_, it->second.lru_position);
-  ++hits_;
-  plan.AdoptEncodings(it->second.encodings);
-  return it->second.keys;
+  return false;
 }
 
 void SortKeyCache::Put(const SortKeyPlan& plan, KeysPtr keys,
                        uint64_t generation) {
   if (!plan.valid() || !plan.encodings_ready() || keys == nullptr) return;
-  const size_t bytes = keys->size() * sizeof(uint64_t);
   const std::string key = plan.CacheKey();
-  std::vector<std::weak_ptr<const IColumn>> columns(
-      plan.key_columns().begin(), plan.key_columns().end());
+  const size_t bytes = keys->size() * sizeof(uint64_t);
   MutexLock lock(mutex_);
-  if (generation != generation_) return;  // raced a Clear(): state is stale
+  if (generation != keys_.generation()) return;  // raced a Clear(): stale
+  DropDeadEntriesLocked();
   // The encodings are worth keeping even when the keys are not cacheable:
   // later scans of the same view then skip the packed min/max pre-passes.
   RecordEncodingsLocked(key, plan);
-  if (bytes > max_bytes_) return;  // would evict the whole cache for one view
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    bytes_used_ -= it->second.bytes;
-    it->second.keys = std::move(keys);
-    it->second.encodings = plan.encodings();
-    it->second.columns = std::move(columns);
-    it->second.bytes = bytes;
-    bytes_used_ += bytes;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_position);
-    EvictOverBudgetLocked();
-    return;
-  }
-  lru_.push_front(key);
-  entries_[key] = Entry{std::move(keys), plan.encodings(), std::move(columns),
-                        bytes, lru_.begin()};
-  bytes_used_ += bytes;
-  DropDeadEntriesLocked();
-  EvictOverBudgetLocked();
+  keys_.Put(key, Cached{std::move(keys), EncodingsOf(plan)}, bytes);
 }
 
 void SortKeyCache::DropDeadEntriesLocked() {
-  // Entries whose source columns died can never be served again (their
-  // pointer-derived key cannot match a live plan, and the liveness check
-  // would reject them) — e.g. keys built by a scan that raced an eviction
-  // and finished against the pre-eviction table. Sweeping them on insert
-  // keeps dead state from squatting on the byte budget. Entry counts are
-  // per-(columns, order) view — dozens, not thousands — so the sweep is
-  // trivial next to the key build that preceded the Put.
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    bool live = true;
-    for (const auto& column : it->second.columns) {
-      if (column.expired()) {
-        live = false;
-        break;
-      }
-    }
-    if (live) {
-      ++it;
-      continue;
-    }
-    bytes_used_ -= it->second.bytes;
-    lru_.erase(it->second.lru_position);
-    it = entries_.erase(it);
-    ++evictions_;
-  }
+  // Entries per (columns, order) view number dozens, not thousands, so the
+  // sweep is trivial next to the key build that precedes every insert.
+  keys_.EvictIf([](const Cached& c) { return Dead(c.encodings); });
 }
 
 void SortKeyCache::RecordEncodingsLocked(const std::string& key,
                                          const SortKeyPlan& plan) {
-  if (encoding_entries_.size() >= kMaxEncodingEntries &&
-      encoding_entries_.find(key) == encoding_entries_.end()) {
-    for (auto it = encoding_entries_.begin();
-         it != encoding_entries_.end();) {
-      bool dead = false;
-      for (const auto& column : it->second.columns) {
-        if (column.expired()) {
-          dead = true;
-          break;
-        }
-      }
-      it = dead ? encoding_entries_.erase(it) : std::next(it);
+  if (encodings_.size() >= kMaxEncodingEntries &&
+      encodings_.find(key) == encodings_.end()) {
+    for (auto it = encodings_.begin(); it != encodings_.end();) {
+      it = Dead(it->second) ? encodings_.erase(it) : std::next(it);
     }
     // Still full after the sweep: drop an arbitrary live entry. Snapshots
     // cost one O(n) pre-pass to rebuild, so recency bookkeeping is not
     // worth carrying for a cap this size.
-    if (encoding_entries_.size() >= kMaxEncodingEntries) {
-      encoding_entries_.erase(encoding_entries_.begin());
+    if (encodings_.size() >= kMaxEncodingEntries) {
+      encodings_.erase(encodings_.begin());
     }
   }
-  encoding_entries_[key] =
-      EncodingEntry{plan.encodings(),
-                    std::vector<std::weak_ptr<const IColumn>>(
-                        plan.key_columns().begin(), plan.key_columns().end())};
+  encodings_[key] = EncodingsOf(plan);
 }
 
-bool SortKeyCache::AdoptEncodingsLocked(const std::string& key,
+void SortKeyCache::AdoptEncodingsLocked(const std::string& key,
                                         SortKeyPlan& plan) {
-  auto it = encoding_entries_.find(key);
-  if (it == encoding_entries_.end()) return false;
-  const auto& plan_columns = plan.key_columns();
-  bool live = it->second.columns.size() == plan_columns.size();
-  for (size_t i = 0; live && i < plan_columns.size(); ++i) {
-    auto locked = it->second.columns[i].lock();
-    live = locked != nullptr && locked.get() == plan_columns[i].get();
+  auto it = encodings_.find(key);
+  if (it == encodings_.end()) return;
+  if (!Live(it->second, plan)) {
+    encodings_.erase(it);
+    return;
   }
-  if (!live) {
-    encoding_entries_.erase(it);
-    return false;
-  }
-  plan.AdoptEncodings(it->second.encodings);
+  plan.AdoptEncodings(it->second.snapshot);
   ++encoding_hits_;
-  return true;
 }
 
 SortKeyCache::KeysPtr SortKeyCache::GetOrBuild(SortKeyPlan& plan,
                                                bool build_allowed) {
   if (!plan.valid()) return nullptr;
   const std::string key = plan.CacheKey();
-  bool first_lookup = true;
-  // Each round holds the lock for lookup / parking / builder election, then
-  // releases it for the build itself — structured as one scoped lock per
-  // round so the analysis can verify the handoff (the pre-annotation code
-  // wove a single unique_lock through all three phases).
-  while (true) {
-    std::shared_ptr<InFlightBuild> build;
-    uint64_t generation = 0;
-    std::function<void()> hook;
-    {
-      MutexLock lock(mutex_);
-      // Retry rounds (after a failed in-flight build) are the same logical
-      // call — they must not inflate the miss counter a second time.
-      KeysPtr cached = LookupLocked(key, plan, first_lookup);
-      first_lookup = false;
-      if (cached != nullptr) return cached;
-      auto it = in_flight_.find(key);
-      if (it != in_flight_.end()) {
-        // Someone is already paying for this exact build. Callers that would
-        // have built anyway park until it lands; callers whose density gate
-        // said "don't build" fall back to the virtual path immediately — for
-        // them (a low-rate sample over a huge partition) the cheap comparator
-        // sort finishes long before an O(universe) key pass would, so parking
-        // would be a latency regression, not a saving.
-        if (!build_allowed) return nullptr;
-        // The result is adopted from the in-flight slot, not the cache, so
-        // waiters are served even when the vector was too large to cache or
-        // a Clear() raced the insert.
-        std::shared_ptr<InFlightBuild> in_flight = it->second;
-        ++waiters_;
-        while (!in_flight->done) build_done_.Wait(mutex_);
-        --waiters_;
-        if (in_flight->keys != nullptr) {
-          plan.AdoptEncodings(in_flight->encodings);
-          ++hits_;
-          ++coalesced_builds_;
-          return in_flight->keys;
-        }
-        // The build unwound without producing keys; loop and possibly become
-        // the next builder.
-        continue;
-      }
-      if (!build_allowed) return nullptr;
-      build = std::make_shared<InFlightBuild>();
-      in_flight_[key] = build;
-      generation = generation_;
-      hook = in_flight_hook_;
-    }
-    // This thread is the elected builder; the key pass runs unlocked.
-    KeysPtr keys;
-    try {
-      if (hook) hook();
-      keys = plan.BuildKeys();
-      Put(plan, keys, generation);  // generation-checked vs Clear() races
-    } catch (...) {
-      // Never strand the in-flight marker: waiters would park forever and
-      // every later scroll of this view would park behind them.
-      MutexLock lock(mutex_);
-      build->done = true;
-      in_flight_.erase(key);
-      build_done_.NotifyAll();
-      throw;
-    }
+  KeysPtr keys;
+  std::function<void()> hook;
+  {
     MutexLock lock(mutex_);
-    build->done = true;
-    build->keys = keys;
-    build->encodings = plan.encodings();
-    in_flight_.erase(key);
-    build_done_.NotifyAll();
-    return keys;
+    // A caller whose density gate said "don't build" never parks on another
+    // thread's build: its cheap comparator sort (a low-rate sample over a
+    // huge partition) finishes long before an O(universe) key pass would.
+    const Lru::Outcome outcome = keys_.Acquire(
+        mutex_, key, /*may_own=*/build_allowed,
+        [&](const Cached& c) {
+          plan.AdoptEncodings(c.encodings.snapshot);
+          keys = c.keys;
+        },
+        [&plan](const Cached& c) { return Live(c.encodings, plan); });
+    if (keys != nullptr) return keys;  // a hit, or an adopted build
+    AdoptEncodingsLocked(key, plan);
+    if (outcome == Lru::Outcome::kMiss) return nullptr;
+    hook = in_flight_hook_;
   }
+  // This thread is the elected builder; the key pass runs unlocked.
+  try {
+    if (hook) hook();
+    keys = plan.BuildKeys();
+  } catch (...) {
+    // Never strand the flight: waiters would park forever and every later
+    // scroll of this view would park behind them.
+    MutexLock lock(mutex_);
+    keys_.Finish(key, std::nullopt, 0);
+    throw;
+  }
+  MutexLock lock(mutex_);
+  DropDeadEntriesLocked();
+  // Waiters adopt from the flight, so they are served even when the vector
+  // is too large to cache or a Clear() raced the build.
+  if (keys_.Finish(key, Cached{keys, EncodingsOf(plan)},
+                   keys->size() * sizeof(uint64_t))) {
+    RecordEncodingsLocked(key, plan);
+  }
+  return keys;
 }
 
 void SortKeyCache::SetInFlightHookForTest(std::function<void()> hook) {
@@ -229,40 +131,28 @@ void SortKeyCache::SetInFlightHookForTest(std::function<void()> hook) {
   in_flight_hook_ = std::move(hook);
 }
 
-void SortKeyCache::EvictOverBudgetLocked() {
-  while (bytes_used_ > max_bytes_ && !lru_.empty()) {
-    auto it = entries_.find(lru_.back());
-    bytes_used_ -= it->second.bytes;
-    entries_.erase(it);
-    lru_.pop_back();
-    ++evictions_;
-  }
-}
-
 void SortKeyCache::Clear() {
   MutexLock lock(mutex_);
-  entries_.clear();
-  lru_.clear();
-  encoding_entries_.clear();
-  bytes_used_ = 0;
-  ++generation_;
+  keys_.Clear();
+  encodings_.clear();
 }
 
 uint64_t SortKeyCache::generation() const {
   MutexLock lock(mutex_);
-  return generation_;
+  return keys_.generation();
 }
 
 SortKeyCache::Stats SortKeyCache::Snapshot() const {
   MutexLock lock(mutex_);
+  const Lru::Counters& c = keys_.counters();
   Stats stats;
-  stats.entries = entries_.size();
-  stats.bytes_used = bytes_used_;
-  stats.hits = hits_;
-  stats.misses = misses_;
-  stats.evictions = evictions_;
-  stats.coalesced_builds = coalesced_builds_;
-  stats.waiters = waiters_;
+  stats.entries = keys_.size();
+  stats.bytes_used = keys_.cost();
+  stats.hits = c.hits + c.coalesced;
+  stats.misses = c.misses;
+  stats.evictions = c.evictions;
+  stats.coalesced_builds = c.coalesced;
+  stats.waiters = c.waiters;
   stats.encoding_hits = encoding_hits_;
   return stats;
 }

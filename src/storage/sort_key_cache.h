@@ -3,13 +3,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "storage/sort_key.h"
+#include "util/single_flight_lru.h"
 #include "util/thread_annotations.h"
 
 namespace hillview {
@@ -35,13 +35,12 @@ namespace hillview {
 /// lookup, so a recycled allocation can never be served stale keys.
 ///
 /// Thread-safe: worker pools summarize partitions concurrently; one mutex
-/// guards every map, counter and the in-flight table (capability-annotated —
-/// -Wthread-safety rejects unguarded access). Concurrent misses on the same
-/// plan are *single-flight* through GetOrBuild(): the first thread builds,
-/// later threads park on a condition variable and adopt the builder's vector
-/// instead of re-running the O(n) key pass (the `coalesced_builds` counter
-/// observes this). Direct Puts may still race benignly; the second replaces
-/// the first with an identical vector.
+/// guards the SingleFlightLru of key vectors, the encoding side-cache and
+/// every counter. Concurrent misses on the same plan are *single-flight*
+/// through GetOrBuild(): the first thread builds, later threads park and
+/// adopt the builder's vector instead of re-running the O(n) key pass (the
+/// `coalesced_builds` counter observes this). Direct Puts may still race
+/// benignly; the second replaces the first with an identical vector.
 class SortKeyCache {
  public:
   using KeysPtr = SortKeyPlan::KeysPtr;
@@ -52,7 +51,8 @@ class SortKeyCache {
   /// One consistent observability snapshot, taken under the lock: reading
   /// counters through individual getters could interleave with a concurrent
   /// scan and report e.g. a hit total from before an eviction next to an
-  /// eviction total from after it.
+  /// eviction total from after it. A call that adopts another thread's
+  /// build counts a miss, a hit and a coalesced build.
   struct Stats {
     size_t entries = 0;
     size_t bytes_used = 0;
@@ -71,7 +71,7 @@ class SortKeyCache {
   };
 
   explicit SortKeyCache(size_t max_bytes = kDefaultMaxBytes)
-      : max_bytes_(max_bytes) {}
+      : keys_(max_bytes) {}
 
   /// Inserts (or replaces) the keys for `plan` (whose encodings must be
   /// finalized), evicting LRU entries beyond the byte budget. Vectors
@@ -85,14 +85,14 @@ class SortKeyCache {
   /// The single-flight consult path: cached keys if present (a hit adopts
   /// the entry's encoding snapshot into `plan`, so the caller skips both the
   /// key build and the O(n) encoding pre-passes); otherwise the first caller
-  /// builds (when `build_allowed`) while concurrent callers
-  /// for the same plan that would also have built wait and adopt the
-  /// builder's result. Returns nullptr when nothing is cached and building
-  /// is not allowed — without waiting on an in-flight build, because such
-  /// callers (low-density scans) finish faster on the virtual comparator
-  /// path than any O(universe) key pass they could wait for. A Clear()
-  /// racing the build discards the insert as usual; waiters are still
-  /// served from the in-flight slot and later callers rebuild.
+  /// builds (when `build_allowed`) while concurrent callers for the same
+  /// plan that would also have built wait and adopt the builder's result.
+  /// Returns nullptr when nothing is cached and building is not allowed —
+  /// without waiting on an in-flight build, because such callers
+  /// (low-density scans) finish faster on the virtual comparator path than
+  /// any O(universe) key pass they could wait for. A Clear() racing the
+  /// build discards the insert as usual; waiters are still served from the
+  /// flight and later callers rebuild.
   KeysPtr GetOrBuild(SortKeyPlan& plan, bool build_allowed) EXCLUDES(mutex_);
 
   /// Drops everything (crash-restart / cache eviction, §5.8) and bumps the
@@ -108,86 +108,54 @@ class SortKeyCache {
   /// a miss.
   Stats Snapshot() const EXCLUDES(mutex_);
 
-  size_t max_bytes() const { return max_bytes_; }
-
   /// Test hook: invoked by the building thread (unlocked) after it has
   /// registered as the in-flight builder and before it starts the key pass,
   /// so a threaded test can hold the build open until waiters have parked.
   void SetInFlightHookForTest(std::function<void()> hook) EXCLUDES(mutex_);
 
  private:
-  struct Entry {
-    KeysPtr keys;
-    SortKeyPlan::EncodingSnapshot encodings;
-    /// Liveness guards for the columns the keys were derived from.
+  /// A plan's finalized encodings with weak references to the columns they
+  /// were derived from: an entry whose columns died (and whose addresses may
+  /// have been recycled) is never served.
+  struct Encodings {
+    SortKeyPlan::EncodingSnapshot snapshot;
     std::vector<std::weak_ptr<const IColumn>> columns;
-    size_t bytes = 0;
-    std::list<std::string>::iterator lru_position;
   };
+  struct Cached {
+    KeysPtr keys;
+    Encodings encodings;
+  };
+  using Lru = SingleFlightLru<Cached>;
+
+  static Encodings EncodingsOf(const SortKeyPlan& plan);
+  /// True when every column `e` was derived from is the live object `plan`
+  /// bound.
+  static bool Live(const Encodings& e, const SortKeyPlan& plan);
+  static bool Dead(const Encodings& e);
 
   /// Encoding snapshots are O(components) — a few dozen bytes — so they get
   /// their own side-cache outside the byte budget: even when a key vector is
   /// too large to cache (or was evicted), a rescan of the same very wide
   /// table skips the packed-transform min/max pre-passes. Capped by entry
-  /// count; dead entries are swept on insert like the main map.
-  struct EncodingEntry {
-    SortKeyPlan::EncodingSnapshot encodings;
-    std::vector<std::weak_ptr<const IColumn>> columns;
-  };
+  /// count; dead entries are swept when it is full.
   static constexpr size_t kMaxEncodingEntries = 256;
 
-  void EvictOverBudgetLocked() REQUIRES(mutex_);
+  /// Evicts entries whose columns died: they can never be served again, so
+  /// they must not squat on the byte budget. Runs before every insert.
   void DropDeadEntriesLocked() REQUIRES(mutex_);
-
   /// Saves `plan`'s finalized encodings in the side-cache.
   void RecordEncodingsLocked(const std::string& key, const SortKeyPlan& plan)
       REQUIRES(mutex_);
-  /// Adopts a live side-cached snapshot into `plan`; false on miss/dead.
-  bool AdoptEncodingsLocked(const std::string& key, SortKeyPlan& plan)
+  /// Adopts a live side-cached snapshot into `plan` (a key miss that still
+  /// skips the O(n) encoding pre-passes).
+  void AdoptEncodingsLocked(const std::string& key, SortKeyPlan& plan)
       REQUIRES(mutex_);
 
-  /// Serves a cache hit for `key` against `plan` under the lock, erasing the
-  /// entry (and reporting a miss, unless `count_miss` is false — GetOrBuild
-  /// retry rounds are one logical call) when its source columns died.
-  /// Returns nullptr on miss.
-  KeysPtr LookupLocked(const std::string& key, SortKeyPlan& plan,
-                       bool count_miss) REQUIRES(mutex_);
-
-  /// One in-flight build. Waiters hold the shared_ptr and adopt `keys` +
-  /// `encodings` straight from it once `done`, so they are served even when
-  /// the vector was too large for Put to cache (the pre-single-flight code
-  /// would have built in parallel; serializing N full builds behind a
-  /// never-cacheable entry would be strictly worse). `keys == nullptr`
-  /// after `done` means the build failed (unwound); waiters then retry and
-  /// may become the next builder. All fields are guarded by the owning
-  /// cache's mutex_ (the analysis cannot express a guard across objects, so
-  /// the discipline is documented here and enforced by the access sites all
-  /// living in GetOrBuild's locked scopes).
-  struct InFlightBuild {
-    bool done = false;
-    KeysPtr keys;
-    SortKeyPlan::EncodingSnapshot encodings;
-  };
-
   mutable Mutex mutex_;
-  CondVar build_done_;
-  size_t max_bytes_;
-  size_t bytes_used_ GUARDED_BY(mutex_) = 0;
-  uint64_t generation_ GUARDED_BY(mutex_) = 0;
-  std::unordered_map<std::string, Entry> entries_ GUARDED_BY(mutex_);
-  std::list<std::string> lru_ GUARDED_BY(mutex_);  // front = most recent
-  /// CacheKeys with a build in flight; waiters park on build_done_.
-  std::unordered_map<std::string, std::shared_ptr<InFlightBuild>> in_flight_
-      GUARDED_BY(mutex_);
-  std::function<void()> in_flight_hook_ GUARDED_BY(mutex_);
-  std::unordered_map<std::string, EncodingEntry> encoding_entries_
-      GUARDED_BY(mutex_);
+  Lru keys_ GUARDED_BY(mutex_);
+  std::unordered_map<std::string, Encodings> encodings_ GUARDED_BY(mutex_);
   int64_t encoding_hits_ GUARDED_BY(mutex_) = 0;
-  int64_t hits_ GUARDED_BY(mutex_) = 0;
-  int64_t misses_ GUARDED_BY(mutex_) = 0;
-  int64_t evictions_ GUARDED_BY(mutex_) = 0;
-  int64_t coalesced_builds_ GUARDED_BY(mutex_) = 0;
-  int64_t waiters_ GUARDED_BY(mutex_) = 0;
+  std::function<void()> in_flight_hook_ GUARDED_BY(mutex_);
 };
 
 /// The one cache-consult sequence shared by every keyed sketch path:

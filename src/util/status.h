@@ -76,6 +76,16 @@ class Status {
   std::string message_;
 };
 
+/// A fault a query can outlive: lost soft state (kUnavailable, healed by
+/// redo-log replay) or a transport/deadline miss the RPC edge could not heal
+/// (kDeadlineExceeded). The root heals or degrades a query on these, and a
+/// degraded merge drops the child that reported one. Anything else —
+/// Cancelled included — is final.
+inline bool IsTransient(const Status& s) {
+  return s.code() == StatusCode::kUnavailable ||
+         s.code() == StatusCode::kDeadlineExceeded;
+}
+
 /// Either a value or an error Status. Modeled after arrow::Result.
 template <typename T>
 class Result {

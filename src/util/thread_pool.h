@@ -16,8 +16,9 @@ namespace hillview {
 /// and schedules their summarize() calls on a shared pool (§5.3: "there is a
 /// thread pool that serves leafs with work to do").
 ///
-/// Supports a high-priority lane used by cancellation messages, which must
-/// bypass queued work (§5.3: cancellation "bypasses the queuing mechanisms").
+/// Cancellation needs no lane of its own: queued tasks poll their token when
+/// they are dequeued (and summarizes at every morsel boundary), so a
+/// cancelled query's work drains without running.
 ///
 /// Locking discipline (checked by -Wthread-safety): `mutex_` guards the
 /// queue, the active-task count and the shutdown flag; both condition
@@ -38,9 +39,9 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task at normal priority. Tasks run FIFO. Returns false when
-  /// the pool is shut down and the task was dropped — callers coordinating
-  /// through completion latches must then run the task themselves.
+  /// Enqueues a task. Tasks run FIFO. Returns false when the pool is shut
+  /// down and the task was dropped — callers coordinating through completion
+  /// latches must then run the task themselves.
   bool Submit(std::function<void()> task) EXCLUDES(mutex_) {
     {
       MutexLock lock(mutex_);
@@ -49,16 +50,6 @@ class ThreadPool {
     }
     cv_.NotifyOne();
     return true;
-  }
-
-  /// Enqueues a task ahead of all normal-priority work.
-  void SubmitHighPriority(std::function<void()> task) EXCLUDES(mutex_) {
-    {
-      MutexLock lock(mutex_);
-      if (shutdown_) return;
-      queue_.push_front(std::move(task));
-    }
-    cv_.NotifyOne();
   }
 
   /// Blocks until every task submitted so far has finished.

@@ -261,6 +261,41 @@ TEST(Cluster, RepeatedCrashLadderHealsByteIdentical) {
   EXPECT_EQ(tc->cluster->health().Snapshot().trips, 0);
 }
 
+// A degraded result over a restarted worker weighs each worker by the
+// partitions the root assigned it. The restarted worker has lost the
+// dataset: asked itself, it would answer 1 partition instead of 4, and the
+// 400 surviving rows of 800 would report coverage 4/5 instead of 1/2. Both
+// ways into the degraded pass must get it right: no replay budget, and a
+// budget spent because the worker crashes again before every re-run.
+TEST(Cluster, DegradedCoverageOverRestartedWorkerUsesAssignedPartitions) {
+  std::vector<TablePtr> partitions;
+  for (int p = 0; p < 8; ++p) {
+    partitions.push_back(MakeDoubleTable("x", std::vector<double>(100, p)));
+  }
+  for (bool recrash : {false, true}) {
+    SCOPED_TRACE(recrash ? "default budget, re-crashed before every re-run"
+                         : "no replay budget");
+    cluster::Cluster::Options options;
+    if (!recrash) options.max_replay_retries = 0;
+    auto tc = TestCluster::Create(partitions, /*workers=*/2, /*threads=*/2,
+                                  options);
+    ASSERT_NE(tc, nullptr);
+    if (recrash) {
+      tc->root->set_retry_hook(
+          [&tc](int, const Status&) { tc->root->RestartWorker(1); });
+    }
+    tc->root->RestartWorker(1);
+    RootSession::QueryStats stats;
+    auto count = tc->root->RunSketch<CountResult>(
+        "data", std::make_shared<CountSketch>(), /*seed=*/0,
+        /*cacheable=*/false, &stats);
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    EXPECT_TRUE(stats.degraded);
+    EXPECT_EQ(stats.coverage, 0.5);
+    EXPECT_EQ(count.value().rows, 400);
+  }
+}
+
 TEST(Cluster, FindTextParallelDictionaryAgreesWithInline) {
   // Each partition's dictionary exceeds the parallel-matching threshold
   // (4096 distinct strings), so on the cluster path MatchDictionary chunks

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <limits>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -293,6 +295,57 @@ TEST(SortKeyCache, WaitersAdoptBuildsTooLargeToCache) {
   }
   EXPECT_EQ(cache.Snapshot().entries, 0u);  // still uncacheable
   EXPECT_EQ(cache.Snapshot().coalesced_builds, kThreads - 1);
+}
+
+TEST(SortKeyCache, ThrowingBuildReElectsAParkedWaiter) {
+  // The first builder's key pass throws (from the in-flight hook, which runs
+  // inside the build's try). Its flight must be released, not stranded: a
+  // parked waiter is re-elected and builds, the other waiters adopt that
+  // second build, and nothing is left waiting.
+  TablePtr t = MakeTable(300);
+  RecordOrder order({{"x", true}});
+  SortKeyCache cache;
+  constexpr int kWaiters = 3;
+  std::atomic<int> builds{0};
+  cache.SetInFlightHookForTest([&] {
+    const int build = builds.fetch_add(1);
+    // Each build holds until the others are parked on its flight.
+    const int parked = build == 0 ? kWaiters : kWaiters - 1;
+    while (cache.Snapshot().waiters < parked) std::this_thread::yield();
+    if (build == 0) throw std::runtime_error("key pass failed");
+  });
+  std::thread failing([&] {
+    SortKeyPlan plan(*t, order, SortKeyPlan::kDeferKeys);
+    EXPECT_THROW(cache.GetOrBuild(plan, /*build_allowed=*/true),
+                 std::runtime_error);
+  });
+  while (builds.load() == 0) std::this_thread::yield();
+  std::vector<SortKeyCache::KeysPtr> results(kWaiters);
+  std::vector<std::thread> waiters;
+  waiters.reserve(kWaiters);
+  for (int i = 0; i < kWaiters; ++i) {
+    waiters.emplace_back([&, i] {
+      SortKeyPlan plan(*t, order, SortKeyPlan::kDeferKeys);
+      results[i] = cache.GetOrBuild(plan, /*build_allowed=*/true);
+    });
+  }
+  failing.join();
+  for (auto& thread : waiters) thread.join();
+
+  EXPECT_EQ(builds.load(), 2);
+  ASSERT_NE(results[0], nullptr);
+  EXPECT_EQ(results[0]->size(), 300u);
+  for (int i = 1; i < kWaiters; ++i) {
+    EXPECT_EQ(results[i].get(), results[0].get()) << "waiter " << i;
+  }
+  SortKeyCache::Stats stats = cache.Snapshot();
+  EXPECT_EQ(stats.waiters, 0);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.coalesced_builds, kWaiters - 1);
+  EXPECT_EQ(stats.misses, kWaiters + 1);
+  SortKeyPlan later(*t, order, SortKeyPlan::kDeferKeys);
+  EXPECT_EQ(cache.GetOrBuild(later, /*build_allowed=*/false).get(),
+            results[0].get());
 }
 
 TEST(SortKeyCache, GetOrBuildWithoutPermissionOrFlightReturnsNull) {

@@ -2,10 +2,15 @@
 
 #include <atomic>
 #include <cmath>
+#include <optional>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "util/random.h"
 #include "util/serialize.h"
+#include "util/single_flight_lru.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -230,35 +235,145 @@ TEST(ThreadPool, ParallelismIsReal) {
   EXPECT_EQ(arrived.load(), 2);
 }
 
-TEST(ThreadPool, HighPriorityJumpsQueue) {
-  ThreadPool pool(1);
-  std::vector<int> order;
-  std::mutex m;
-  // Block the single worker so subsequent submissions queue up.
-  std::atomic<bool> release{false};
-  pool.Submit([&release] {
-    while (!release.load()) std::this_thread::yield();
-  });
-  pool.Submit([&] {
-    std::lock_guard<std::mutex> lock(m);
-    order.push_back(1);
-  });
-  pool.SubmitHighPriority([&] {
-    std::lock_guard<std::mutex> lock(m);
-    order.push_back(2);
-  });
-  release.store(true);
-  pool.Wait();
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 2);  // high priority ran first
-  EXPECT_EQ(order[1], 1);
-}
-
 TEST(ThreadPool, ShutdownIsIdempotent) {
   ThreadPool pool(2);
   pool.Submit([] {});
   pool.Shutdown();
   pool.Shutdown();
+}
+
+// A cache shaped like ComputationCache and SortKeyCache: one mutex guards
+// the protocol, and every call takes it.
+class IntCache {
+ public:
+  using Lru = SingleFlightLru<int>;
+  using Outcome = Lru::Outcome;
+
+  IntCache() : lru_(/*budget=*/16) {}
+
+  Outcome Get(const std::string& key, int* value, bool may_own = true) {
+    MutexLock lock(mutex_);
+    return lru_.Acquire(mutex_, key, may_own,
+                        [value](int v) { *value = v; });
+  }
+  bool Finish(const std::string& key, std::optional<int> value) {
+    MutexLock lock(mutex_);
+    return lru_.Finish(key, value, /*cost=*/1);
+  }
+  void Clear() {
+    MutexLock lock(mutex_);
+    lru_.Clear();
+  }
+  Lru::Counters counters() {
+    MutexLock lock(mutex_);
+    return lru_.counters();
+  }
+  size_t size() {
+    MutexLock lock(mutex_);
+    return lru_.size();
+  }
+  void AwaitWaiters(int64_t n) {
+    while (counters().waiters < n) std::this_thread::yield();
+  }
+
+ private:
+  Mutex mutex_;
+  Lru lru_ GUARDED_BY(mutex_);
+};
+
+// N waiters are parked on a flight whose owner finishes empty (a degraded,
+// cancelled or failed computation). Exactly one waiter is re-elected owner;
+// the others park again on its flight and adopt its value.
+TEST(SingleFlightLru, EmptyFinishReElectsExactlyOneParkedWaiter) {
+  IntCache cache;
+  int unused = 0;
+  ASSERT_EQ(cache.Get("k", &unused), IntCache::Outcome::kOwner);
+  constexpr int kWaiters = 5;
+  std::vector<IntCache::Outcome> outcomes(kWaiters);
+  std::vector<int> values(kWaiters, -1);
+  std::vector<std::thread> threads;
+  threads.reserve(kWaiters);
+  for (int i = 0; i < kWaiters; ++i) {
+    threads.emplace_back([&, i] {
+      outcomes[i] = cache.Get("k", &values[i]);
+      if (outcomes[i] != IntCache::Outcome::kOwner) return;
+      // Publish only once every other waiter has parked on this flight, so
+      // each of them must adopt rather than find the value cached.
+      cache.AwaitWaiters(kWaiters - 1);
+      EXPECT_TRUE(cache.Finish("k", 42));
+    });
+  }
+  cache.AwaitWaiters(kWaiters);
+  EXPECT_TRUE(cache.Finish("k", std::nullopt));
+  for (auto& thread : threads) thread.join();
+
+  int owners = 0;
+  for (int i = 0; i < kWaiters; ++i) {
+    if (outcomes[i] == IntCache::Outcome::kOwner) {
+      ++owners;
+    } else {
+      EXPECT_EQ(outcomes[i], IntCache::Outcome::kCoalesced) << "waiter " << i;
+      EXPECT_EQ(values[i], 42) << "waiter " << i;
+    }
+  }
+  EXPECT_EQ(owners, 1);
+  IntCache::Lru::Counters c = cache.counters();
+  EXPECT_EQ(c.owners, 2);
+  EXPECT_EQ(c.coalesced, kWaiters - 1);
+  EXPECT_EQ(c.misses, kWaiters + 1);
+  EXPECT_EQ(c.hits, 0);
+  EXPECT_EQ(c.waiters, 0);
+  EXPECT_EQ(cache.Get("k", &unused), IntCache::Outcome::kHit);
+  EXPECT_EQ(unused, 42);
+}
+
+// A lookup-only caller never parks on a flight (this test would hang if it
+// did), and a flight that began before a Clear() serves its waiters but
+// leaves its value out of the LRU.
+TEST(SingleFlightLru, LookupOnlyNeverParksAndClearFencesTheFlight) {
+  IntCache cache;
+  int value = -1;
+  ASSERT_EQ(cache.Get("k", &value), IntCache::Outcome::kOwner);
+  EXPECT_EQ(cache.Get("k", &value, /*may_own=*/false),
+            IntCache::Outcome::kMiss);
+  IntCache::Outcome waiter_outcome = IntCache::Outcome::kMiss;
+  int waiter_value = -1;
+  std::thread waiter(
+      [&] { waiter_outcome = cache.Get("k", &waiter_value); });
+  cache.AwaitWaiters(1);
+  cache.Clear();
+  EXPECT_FALSE(cache.Finish("k", 7));
+  waiter.join();
+  EXPECT_EQ(waiter_outcome, IntCache::Outcome::kCoalesced);
+  EXPECT_EQ(waiter_value, 7);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.Get("k", &value), IntCache::Outcome::kOwner);
+  EXPECT_FALSE(cache.Finish("absent", 1));  // no flight: a no-op
+}
+
+// The budget is a caller-supplied cost: least recently used entries go
+// first, and a value costing more than the whole budget is never cached.
+TEST(SingleFlightLru, CostBudgetEvictsLeastRecentlyUsed) {
+  Mutex mutex;
+  SingleFlightLru<int> lru(/*budget=*/10);
+  MutexLock lock(mutex);
+  lru.Put("a", 1, 4);
+  lru.Put("b", 2, 4);
+  int value = 0;
+  auto take = [&value](int v) { value = v; };
+  EXPECT_EQ(lru.Acquire(mutex, "a", /*may_own=*/false, take),
+            SingleFlightLru<int>::Outcome::kHit);  // b is now LRU
+  lru.Put("c", 3, 4);
+  EXPECT_EQ(lru.size(), 2u);
+  EXPECT_EQ(lru.cost(), 8u);
+  EXPECT_EQ(lru.counters().evictions, 1);
+  EXPECT_EQ(lru.Acquire(mutex, "b", /*may_own=*/false, take),
+            SingleFlightLru<int>::Outcome::kMiss);
+  lru.Put("huge", 4, 11);
+  EXPECT_EQ(lru.size(), 2u);
+  lru.EvictIf([](int v) { return v == 3; });
+  EXPECT_EQ(lru.size(), 1u);
+  EXPECT_EQ(lru.counters().evictions, 2);
 }
 
 }  // namespace
