@@ -89,6 +89,19 @@ void Run() {
                 row.hillview[2].root_bytes / 1024.0,
                 hv_kb > 0 ? spark_kb / hv_kb : 0.0);
   }
+  // Per-operation METRIC lines at 1x, so run_benches.sh records Fig 5 and
+  // --compare diffs it.
+  for (int op = 1; op <= workload::kNumOperations; ++op) {
+    const Row& row = rows[op - 1];
+    const workload::OpMeasurement& hv = row.hillview[0];
+    std::printf("METRIC o%d_hv1x_ms %.3f\n", op, hv.seconds * 1e3);
+    std::printf("METRIC o%d_hv1x_first_partial_ms %.3f\n", op,
+                hv.first_partial_seconds * 1e3);
+    std::printf("METRIC o%d_hv1x_root_kb %.1f\n", op, hv.root_bytes / 1024.0);
+    std::printf("METRIC o%d_baseline_root_kb %.1f\n", op,
+                row.baseline.root_bytes / 1024.0);
+  }
+
   std::printf(
       "\nExpected shape: HV times comparable to Spark1x while processing\n"
       "1-4x the data; Spark ships ~10x+ more bytes for most operations\n"

@@ -117,11 +117,10 @@ class RpcDriver : public std::enable_shared_from_this<RpcDriver> {
       return;
     }
     // This is the machine boundary: from here on the sketch runs on the
-    // worker, so hand it the worker's auxiliary pool for intra-partition
-    // helper work (find-text dictionary matching). Deliberately a provider:
-    // the aux pool's threads spawn only if a sketch actually asks. The
-    // capture is a raw pointer on purpose — the provider only runs inside
-    // Summarize on the worker's own pool, which the worker drains before
+    // worker, so hand it the worker's own pool for intra-partition helper
+    // work (find-text dictionary matching) and the worker's sort-key cache.
+    // The captures are raw pointers on purpose — the providers only run
+    // inside Summarize on the worker's pool, which the worker drains before
     // dying, and a shared_ptr here could make a task closure the last owner
     // and destroy the Worker from its own pool thread (a self-join).
     SketchOptions worker_options = options_;

@@ -137,7 +137,6 @@ struct Merger {
         out(std::move(out)) {
     total_weight = 0;
     for (double w : this->weights) total_weight += w;
-    if (total_weight <= 0) total_weight = 1;
   }
 
   AnySummary MergeAllLocked() REQUIRES(mutex) {
@@ -149,17 +148,23 @@ struct Merger {
     return merged.empty() ? sketch.Zero() : merged;
   }
 
+  /// Partition-weighted progress. When no child holds a partition, each
+  /// child weighs the same instead, so the tree still progresses to 1.
   double ProgressLocked() const REQUIRES(mutex) {
     double p = 0;
-    for (size_t i = 0; i < progress.size(); ++i) p += progress[i] * weights[i];
-    return p / total_weight;
+    for (size_t i = 0; i < progress.size(); ++i) {
+      p += progress[i] * (total_weight > 0 ? weights[i] : 1.0);
+    }
+    return p / (total_weight > 0 ? total_weight : progress.size());
   }
 
   /// Weighted fraction of leaf partitions still contributing: a lost child
   /// contributes zero, a live one forwards whatever coverage its own subtree
   /// reported. Ratios of small integer weights stay exact in floating point
-  /// (e.g. 6/8), so tests can assert coverage with plain equality.
+  /// (e.g. 6/8), so tests can assert coverage with plain equality. A tree
+  /// that holds no partition loses none.
   double CoverageLocked() const REQUIRES(mutex) {
+    if (total_weight <= 0) return 1.0;
     double c = 0;
     for (size_t i = 0; i < failed.size(); ++i) {
       if (!failed[i]) c += child_coverage[i] * weights[i];
@@ -272,10 +277,12 @@ StreamPtr<PartialResult<AnySummary>> ParallelDataSet::RunSketch(
     stream->OnComplete(Status::OK());
     return stream;
   }
+  // Each child weighs the partitions it holds; one that holds none (a
+  // worker beyond the partition count) weighs nothing.
   std::vector<double> weights;
   weights.reserve(children_.size());
   for (const auto& child : children_) {
-    weights.push_back(std::max(1, child->NumPartitions()));
+    weights.push_back(child->NumPartitions());
   }
   auto merger =
       std::make_shared<Merger>(sketch, children_.size(), std::move(weights),

@@ -139,17 +139,6 @@ std::string FindTextSketch::name() const {
   return "find-text(" + filter_.ToString() + ")";
 }
 
-int FindTextSketch::CompareKeys(const std::vector<Value>& a,
-                                const std::vector<Value>& b) const {
-  const auto& orientations = order_.orientations();
-  for (size_t i = 0; i < orientations.size() && i < a.size() && i < b.size();
-       ++i) {
-    int c = CompareValues(a[i], b[i]);
-    if (c != 0) return orientations[i].ascending ? c : -c;
-  }
-  return 0;
-}
-
 FindResult FindTextSketch::Summarize(const Table& table, uint64_t seed,
                                      const SketchContext& context) const {
   (void)seed;
@@ -229,7 +218,8 @@ FindResult FindTextSketch::Merge(const FindResult& left,
   } else if (!right.first_match.has_value()) {
     out.first_match = left.first_match;
   } else {
-    out.first_match = CompareKeys(*left.first_match, *right.first_match) <= 0
+    out.first_match = CompareKeyCells(order_, *left.first_match,
+                                      *right.first_match) <= 0
                           ? left.first_match
                           : right.first_match;
   }

@@ -108,9 +108,6 @@ class FindTextSketch final : public Sketch<FindResult> {
                    const FindResult& right) const override;
 
  private:
-  int CompareKeys(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const;
-
   RecordOrder order_;
   std::vector<std::string> columns_;
   StringFilter filter_;

@@ -98,16 +98,6 @@ std::string NextItemsSketch::name() const {
   return n;
 }
 
-int NextItemsSketch::CompareKeys(const std::vector<Value>& a,
-                                 const std::vector<Value>& b) const {
-  const auto& orientations = order_.orientations();
-  for (size_t i = 0; i < orientations.size(); ++i) {
-    int c = CompareValues(a[i], b[i]);
-    if (c != 0) return orientations[i].ascending ? c : -c;
-  }
-  return 0;
-}
-
 namespace {
 
 /// Slots a top-K list can ever hold: the page plus one transient insert, and
@@ -131,8 +121,8 @@ struct TopKRows {
   }
 };
 
-/// The virtual-comparator fallback, used when the first order column has no
-/// raw layout to extract keys from.
+/// The virtual-comparator path, for scans with no cached keys that are too
+/// sparse to pay for a key build (and for orders naming no known column).
 void TopKVirtual(const Table& table, const RecordOrder& order,
                  const std::optional<std::vector<Value>>& start_key, int k,
                  TopKRows* top, NextItemsResult* result) {
@@ -316,29 +306,13 @@ NextItemsResult NextItemsSketch::Summarize(const Table& table, uint64_t seed,
 
   const size_t slots = TopKSlots(k_, table.num_rows());
   TopKRows top(slots);
-  // The keyed path materializes keys for the whole universe, so a cold build
-  // only pays off on dense-enough tables (KeyedScanProfitable). Keys already
-  // resident in the worker's sort-key cache are free, so a cache hit takes
-  // the keyed path regardless of density. With neither a cache nor a
-  // profitable build, skip even planning: its encoding pre-passes read
-  // O(universe) on narrow-column orders.
-  bool keyed = false;
   SortKeyCache* cache = context.key_cache ? context.key_cache() : nullptr;
-  const bool profitable =
-      KeyedScanProfitable(table.num_rows(), table.universe_size());
-  if (cache != nullptr || profitable) {
-    SortKeyPlan plan(table, order_, SortKeyPlan::kDeferKeys);
-    SortKeyPlan::KeysPtr keys =
-        GetOrBuildKeys(cache, plan, /*build_allowed=*/profitable);
-    if (keys != nullptr) {
-      plan.AdoptKeys(std::move(keys));
-      TopKKeyed visitor(table, order_, plan, start_key_, k_, slots, &top);
-      ScanArray(plan.keys().data(), *table.members(), visitor);
-      result.rows_before = visitor.rows_before();
-      keyed = true;
-    }
-  }
-  if (!keyed) {
+  if (std::optional<SortKeyPlan> plan =
+          KeyedPlan(cache, table, order_, table.num_rows())) {
+    TopKKeyed visitor(table, order_, *plan, start_key_, k_, slots, &top);
+    ScanArray(plan->keys().data(), *table.members(), visitor);
+    result.rows_before = visitor.rows_before();
+  } else {
     TopKVirtual(table, order_, start_key_, k_, &top, &result);
   }
   auto& reps = top.reps;
@@ -374,7 +348,7 @@ NextItemsResult NextItemsSketch::Merge(const NextItemsResult& left,
       out.rows.push_back(left.rows[i++]);
       continue;
     }
-    int c = CompareKeys(left.rows[i].values, right.rows[j].values);
+    int c = CompareKeyCells(order_, left.rows[i].values, right.rows[j].values);
     if (c < 0) {
       out.rows.push_back(left.rows[i++]);
     } else if (c > 0) {

@@ -83,11 +83,6 @@ class NextItemsSketch final : public Sketch<NextItemsResult> {
   }
 
  private:
-  /// Lexicographic comparison of two snapshots on the key prefix, honoring
-  /// per-column sort direction.
-  int CompareKeys(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const;
-
   RecordOrder order_;
   std::vector<std::string> display_columns_;
   std::optional<std::vector<Value>> start_key_;

@@ -466,17 +466,6 @@ std::string QuantileSketch::name() const {
   return n;
 }
 
-int CompareQuantileKeys(const RecordOrder& order, const std::vector<Value>& a,
-                        const std::vector<Value>& b) {
-  const auto& orientations = order.orientations();
-  for (size_t i = 0; i < orientations.size() && i < a.size() && i < b.size();
-       ++i) {
-    int c = CompareValues(a[i], b[i]);
-    if (c != 0) return orientations[i].ascending ? c : -c;
-  }
-  return 0;
-}
-
 QuantileResult QuantileSketch::Summarize(const Table& table, uint64_t seed,
                                          const SketchContext& context) const {
   QuantileResult result;
@@ -488,48 +477,32 @@ QuantileResult QuantileSketch::Summarize(const Table& table, uint64_t seed,
   ScanRows(*table.members(), rate_, seed,
            [&](uint32_t row) { rows.push_back(row); });
 
-  // The keyed sort pays an O(universe) key-materialization pass up front, so
-  // a cold build only wins when the sample is a sizable fraction of the
-  // universe (KeyedScanProfitable); a low-rate scroll-bar sample of a huge
-  // partition sorts faster through the virtual comparator than it could
-  // ever amortize full key extraction. Keys already resident in the
-  // worker's sort-key cache are free, so a cache hit always sorts keyed.
-  // With neither a cache nor a profitable build, skip even planning: its
-  // encoding pre-passes read O(universe) on narrow-column orders.
-  bool sorted_keyed = false;
+  // A low-rate scroll-bar sample of a huge partition sorts faster through
+  // the virtual comparator than it could ever amortize a cold key build;
+  // keys resident in the worker's sort-key cache are free (KeyedPlan).
   SortKeyCache* cache = context.key_cache ? context.key_cache() : nullptr;
-  const bool profitable =
-      KeyedScanProfitable(rows.size(), table.universe_size());
-  if (cache != nullptr || profitable) {
-    SortKeyPlan plan(table, order_, SortKeyPlan::kDeferKeys);
-    SortKeyPlan::KeysPtr keys =
-        GetOrBuildKeys(cache, plan, /*build_allowed=*/profitable);
-    if (keys != nullptr) {
-      plan.AdoptKeys(std::move(keys));
-      // Devirtualized path: sort (normalized key, row) pairs — a plain
-      // integer sort when the key order is total; ties (multi-column
-      // orders, inexact packed components) fall back to the virtual
-      // comparator within equal-key runs.
-      KeyComparator cmp(table, plan);
-      std::vector<std::pair<uint64_t, uint32_t>> keyed;
-      keyed.reserve(rows.size());
-      for (uint32_t row : rows) keyed.emplace_back(cmp.Key(row), row);
-      if (plan.TotalOrder()) {
-        std::sort(keyed.begin(), keyed.end());
-      } else {
-        std::sort(keyed.begin(), keyed.end(),
-                  [&](const std::pair<uint64_t, uint32_t>& a,
-                      const std::pair<uint64_t, uint32_t>& b) {
-                    if (a.first != b.first) return a.first < b.first;
-                    return cmp.Less(a.second, b.second);
-                  });
-      }
-      for (size_t i = 0; i < keyed.size(); ++i) rows[i] = keyed[i].second;
-      sorted_keyed = true;
+  if (std::optional<SortKeyPlan> plan =
+          KeyedPlan(cache, table, order_, rows.size())) {
+    // Devirtualized path: sort (normalized key, row) pairs — a plain
+    // integer sort when the key order is total; ties (multi-column orders,
+    // inexact packed components) fall back to the virtual comparator within
+    // equal-key runs.
+    KeyComparator cmp(table, *plan);
+    std::vector<std::pair<uint64_t, uint32_t>> keyed;
+    keyed.reserve(rows.size());
+    for (uint32_t row : rows) keyed.emplace_back(cmp.Key(row), row);
+    if (plan->TotalOrder()) {
+      std::sort(keyed.begin(), keyed.end());
+    } else {
+      std::sort(keyed.begin(), keyed.end(),
+                [&](const std::pair<uint64_t, uint32_t>& a,
+                    const std::pair<uint64_t, uint32_t>& b) {
+                  if (a.first != b.first) return a.first < b.first;
+                  return cmp.Less(a.second, b.second);
+                });
     }
-  }
-
-  if (!sorted_keyed) {
+    for (size_t i = 0; i < keyed.size(); ++i) rows[i] = keyed[i].second;
+  } else {
     RowComparator comparator(table, order_);
     std::sort(rows.begin(), rows.end(),
               [&](uint32_t a, uint32_t b) { return comparator.Less(a, b); });

@@ -122,14 +122,6 @@ struct QuantileResult {
   static Status Deserialize(ByteReader* r, QuantileResult* out);
 };
 
-/// Three-way comparison of two materialized keys (cells of the order
-/// columns) under `order`, by CompareValues cell by cell. The sketch itself
-/// compares encoded cells column-wise; this is the reference order those
-/// compares are tested against (the Quantile.Merges*InValueOrder tests and
-/// the statistical rank-bound suite).
-int CompareQuantileKeys(const RecordOrder& order, const std::vector<Value>& a,
-                        const std::vector<Value>& b);
-
 class QuantileSketch final : public Sketch<QuantileResult> {
  public:
   /// `rate` is typically SampleRateForSize(QuantileSampleSize(V), total).

@@ -136,8 +136,10 @@ class IColumn {
     (void)members;
   }
 
-  // Fast-path raw accessors; each returns nullptr unless the column has that
-  // physical representation.
+  // Fast-path raw accessors. Every column has exactly one of these physical
+  // representations and returns nullptr from the other three (an empty one
+  // may return nullptr from all four: it has no row to read). The scan
+  // layer and the sort keys rely on this and keep no per-row fallback.
   virtual const int32_t* RawInt() const { return nullptr; }
   virtual const double* RawDouble() const { return nullptr; }
   virtual const int64_t* RawDate() const { return nullptr; }

@@ -2,6 +2,17 @@
 
 namespace hillview {
 
+int CompareKeyCells(const RecordOrder& order, const std::vector<Value>& a,
+                    const std::vector<Value>& b) {
+  const auto& orientations = order.orientations();
+  for (size_t i = 0; i < orientations.size() && i < a.size() && i < b.size();
+       ++i) {
+    int c = CompareValues(a[i], b[i]);
+    if (c != 0) return orientations[i].ascending ? c : -c;
+  }
+  return 0;
+}
+
 RowComparator::RowComparator(const Table& table, const RecordOrder& order) {
   for (const auto& o : order.orientations()) {
     ColumnPtr col = table.GetColumnOrNull(o.column);

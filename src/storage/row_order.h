@@ -40,6 +40,15 @@ class RecordOrder {
   std::vector<ColumnSortOrientation> orientations_;
 };
 
+/// Three-way comparison of two materialized keys (cell values indexed like
+/// the order's orientations) by CompareValues, cell by cell, each in its
+/// orientation's direction. Cells beyond either key are not compared. The
+/// next-items and find-text merges order their keys by it, and it is the
+/// reference order the quantile summary's column-wise compares are tested
+/// against.
+int CompareKeyCells(const RecordOrder& order, const std::vector<Value>& a,
+                    const std::vector<Value>& b);
+
 /// Compares rows of one table under a RecordOrder. Binds the column pointers
 /// once so the per-comparison work is just virtual CompareRows calls.
 class RowComparator {

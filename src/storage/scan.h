@@ -21,7 +21,7 @@ namespace hillview {
 ///
 /// `ScanColumn` dispatches ONCE per scan on the full cross product
 ///
-///   physical layout  (int32 | double | int64 | dictionary codes | generic)
+///   physical layout  (int32 | double | int64 | dictionary codes)
 /// × membership kind  (full | dense bitmap | sparse row list)
 /// × null mask        (absent | present)
 /// × sampling rate    (streaming | geometric-skip sampling)
@@ -409,22 +409,7 @@ void ScanColumn(const IColumn& col, const IMembershipSet& members, double rate,
     scan_internal::CodeFilter<std::remove_reference_t<Visitor>> filter{
         vis, col.Dictionary().size()};
     ScanTyped(raw, members, kNoNulls, rate, seed, filter);
-    return;
   }
-  // Generic fallback for layouts without a raw array (none in-tree today):
-  // per-row virtual accessors, same missing policy.
-  ScanRows(members, rate, seed, [&](uint32_t row) {
-    if (col.IsMissing(row)) {
-      vis.OnMissing(row);
-      return;
-    }
-    double v = col.GetDouble(row);
-    if (std::isnan(v)) {
-      vis.OnMissing(row);
-      return;
-    }
-    vis.OnValue(row, v);
-  });
 }
 
 namespace scan_internal {
@@ -638,15 +623,6 @@ MembershipPtr FilterColumnMembership(const IColumn& col,
     scan_internal::FilterTyped(raw64, base, col.null_mask(), pred, words);
   } else if (const uint32_t* codes = col.RawCodes()) {
     scan_internal::FilterTyped(codes, base, col.null_mask(), pred, words);
-  } else {
-    // Generic fallback for layouts without a raw array: per-row virtual
-    // accessors, same missing policy.
-    ScanRows(base, /*rate=*/1.0, /*seed=*/0, [&](uint32_t row) {
-      if (col.IsMissing(row)) return;
-      double v = col.GetDouble(row);
-      if (std::isnan(v)) return;
-      if (pred(v)) words[row >> 6] |= 1ULL << (row & 63);
-    });
   }
   uint64_t hits = 0;
   for (uint64_t w : words) hits += static_cast<uint64_t>(__builtin_popcountll(w));
@@ -722,9 +698,6 @@ class RawCursor {
     } else if ((codes_ = col->RawCodes()) != nullptr) {
       layout_ = Layout::kCodes;
       dict_limit_ = col->Dictionary().size();
-    } else {
-      col_ = col;
-      layout_ = Layout::kGeneric;
     }
   }
 
@@ -744,8 +717,6 @@ class RawCursor {
         // Out-of-range codes (kMissingCode, or corrupt mapped data) are
         // missing — same policy as StringColumn::IsMissing and CodeFilter.
         return codes_[row] >= dict_limit_;
-      case Layout::kGeneric:
-        return col_->IsMissing(row);
       case Layout::kNone:
         return true;
     }
@@ -764,8 +735,6 @@ class RawCursor {
         return static_cast<double>(i64_[row]);
       case Layout::kCodes:
         return static_cast<double>(codes_[row]);
-      case Layout::kGeneric:
-        return col_->GetDouble(row);
       case Layout::kNone:
         return 0.0;
     }
@@ -776,7 +745,8 @@ class RawCursor {
   uint32_t Code(uint32_t row) const { return codes_[row]; }
 
  private:
-  enum class Layout { kNone, kF64, kI32, kI64, kCodes, kGeneric };
+  // kNone: a null column, every row missing.
+  enum class Layout { kNone, kF64, kI32, kI64, kCodes };
 
   Layout layout_ = Layout::kNone;
   const double* f64_ = nullptr;
@@ -785,7 +755,6 @@ class RawCursor {
   const uint32_t* codes_ = nullptr;
   uint32_t dict_limit_ = 0;
   const NullMask* nulls_ = nullptr;
-  const IColumn* col_ = nullptr;
 };
 
 }  // namespace hillview

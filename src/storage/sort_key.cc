@@ -24,38 +24,19 @@ inline uint64_t EncodeI32(int32_t v) {
   return static_cast<uint64_t>(static_cast<uint32_t>(v) ^ 0x80000000u) << 32;
 }
 
-/// The layouts a column can contribute to a packed 32+32 key.
-enum class NarrowLayout { kNone, kI32, kI64, kCodes };
-
-NarrowLayout NarrowLayoutOf(const IColumn& col) {
-  if (col.RawInt() != nullptr) return NarrowLayout::kI32;
-  if (col.RawDate() != nullptr) return NarrowLayout::kI64;
-  if (col.RawCodes() != nullptr) return NarrowLayout::kCodes;
-  return NarrowLayout::kNone;
-}
-
-}  // namespace
-
-SortKeyPlan::SortKeyPlan(const Table& table, const RecordOrder& order) {
-  Plan(table, order);
-  if (valid_) keys_ = BuildKeys();  // finalizes encodings on the way
-}
-
-SortKeyPlan::SortKeyPlan(const Table& table, const RecordOrder& order,
-                         DeferKeysTag) {
-  Plan(table, order);
+/// True when the column can contribute to a packed 32+32 key.
+bool IsNarrow(const IColumn& col) {
+  return col.RawInt() != nullptr || col.RawDate() != nullptr ||
+         col.RawCodes() != nullptr;
 }
 
 /// Derives the packed transform for one component: `enc = (v - min) >> shift`
 /// over the column's present-value range, monotone by construction and
 /// injective (exact) when shift == 0. Dictionary codes are already 32-bit
 /// ordinals and need no transform.
-static void ComputePackTransformImpl(const IColumn& col, int64_t* min,
-                                     uint32_t* shift, bool* exact) {
-  *min = 0;
-  *shift = 0;
-  *exact = true;
-  if (col.RawCodes() != nullptr) return;  // codes are the component already
+SortKeyPlan::Transform PackTransform(const IColumn& col) {
+  SortKeyPlan::Transform t;
+  if (col.RawCodes() != nullptr) return t;  // codes are the component already
   const NullMask& nulls = col.null_mask();
   const bool check_nulls = !nulls.empty();
   const uint32_t n = col.size();
@@ -91,155 +72,20 @@ static void ComputePackTransformImpl(const IColumn& col, int64_t* min,
       reduce(raw64);
     }
   }
-  if (!any) return;  // all missing: encode is never consulted
-  *min = lo;
+  if (!any) return t;  // all missing: encode is never consulted
+  t.min = lo;
   uint64_t range =
       static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);  // two's complement
-  while ((range >> *shift) > kMaxComponent) ++*shift;
-  *exact = (*shift == 0);
+  while ((range >> t.shift) > kMaxComponent) ++t.shift;
+  t.exact = (t.shift == 0);
+  return t;
 }
 
-void SortKeyPlan::Plan(const Table& table, const RecordOrder& order) {
-  // Stage 1, deliberately O(columns) not O(rows): bind the first order
-  // column that exists (mirroring RowComparator's skip-unknown policy), the
-  // candidate second column, and the tie tail. Everything data-derived
-  // (min/shift transforms, exactness, final shape) waits for
-  // FinalizeEncodings(), so a cache lookup costs no column scan.
-  const auto& orientations = order.orientations();
-  size_t i = 0;
-  ColumnPtr first;
-  for (; i < orientations.size(); ++i) {
-    first = table.GetColumnOrNull(orientations[i].column);
-    if (first != nullptr) break;
-  }
-  if (first == nullptr) return;
-  first_index_ = i;
-  universe_ = first->size();
-  first_.column = first;
-  first_.kind = first->kind();
-  first_.ascending = orientations[i].ascending;
-  first_.orientation_index = i;
-  first_orient_ = orientations[i];
-
-  ColumnPtr second;
-  size_t second_orientation = 0;
-  for (size_t j = i + 1; j < orientations.size(); ++j) {
-    ColumnPtr c = table.GetColumnOrNull(orientations[j].column);
-    if (c == nullptr) continue;
-    if (second == nullptr) {
-      second = c;
-      second_orientation = j;
-    }
-    rest_.push_back(orientations[j]);
-  }
-
-  // Candidate packed 32+32 shape: both leading columns narrow. Whether
-  // packing actually engages depends on the first column's value range
-  // (FinalizeEncodings); the candidacy alone fixes the cache identity.
-  if (second != nullptr &&
-      NarrowLayoutOf(*first) != NarrowLayout::kNone &&
-      NarrowLayoutOf(*second) != NarrowLayout::kNone) {
-    candidate_packed_ = true;
-    second_.column = second;
-    second_.kind = second->kind();
-    second_.ascending = orientations[second_orientation].ascending;
-    second_.orientation_index = second_orientation;
-    second_orient_ = orientations[second_orientation];
-  } else if (first->RawDouble() == nullptr && first->RawInt() == nullptr &&
-             first->RawDate() == nullptr && first->RawCodes() == nullptr) {
-    return;  // generic layout: no raw array to encode from
-  }
-
-  key_columns_ = candidate_packed_ ? std::vector<ColumnPtr>{first, second}
-                                   : std::vector<ColumnPtr>{first};
-  valid_ = true;
-}
-
-void SortKeyPlan::FinalizeShape() {
-  // Packed 32+32 shape requires the first column's transform exact — a lossy
-  // high half would let the low half override the true first-column order,
-  // so inexact first columns fall back to the single shape.
-  if (candidate_packed_) {
-    ComputePackTransformImpl(*first_.column, &first_.min, &first_.shift,
-                             &first_.exact);
-    if (first_.exact) {
-      ComputePackTransformImpl(*second_.column, &second_.min, &second_.shift,
-                               &second_.exact);
-      packed_ = true;
-    } else {
-      // Reset: the single shape has its own exactness rules.
-      first_.min = 0;
-      first_.shift = 0;
-      first_.exact = true;
-    }
-  }
-}
-
-void SortKeyPlan::FinalizeEncodings() {
-  if (encodings_ready_ || !valid_) return;
-  FinalizeShape();
-  if (!packed_) {
-    if (const int64_t* raw64 = first_.column->RawDate()) {
-      // INT64_MAX collides with the reserved missing key; if present, the
-      // encoding saturates and key ties must re-compare the first column.
-      // (BuildKeys detects this inside the key pass instead — this scan is
-      // only for callers that want the shape without materializing keys.)
-      const NullMask& nulls = first_.column->null_mask();
-      const bool check_nulls = !nulls.empty();
-      for (uint32_t r = 0; r < universe_; ++r) {
-        if (raw64[r] == std::numeric_limits<int64_t>::max() &&
-            !(check_nulls && nulls.IsMissing(r))) {
-          first_.exact = false;
-          break;
-        }
-      }
-    }
-  }
-  DeriveTieOrder();
-  encodings_ready_ = true;
-}
-
-void SortKeyPlan::DeriveTieOrder() {
-  tie_order_.clear();
-  if (packed_) {
-    exact_ = second_.exact;  // the first component is exact by construction
-    if (!second_.exact) tie_order_.push_back(second_orient_);
-    tie_order_.insert(tie_order_.end(), rest_.begin() + 1, rest_.end());
-  } else {
-    exact_ = first_.exact;
-    if (!exact_) tie_order_.push_back(first_orient_);
-    tie_order_.insert(tie_order_.end(), rest_.begin(), rest_.end());
-  }
-}
-
-SortKeyPlan::EncodingSnapshot SortKeyPlan::encodings() const {
-  EncodingSnapshot s;
-  s.packed = packed_;
-  s.first_min = first_.min;
-  s.first_shift = first_.shift;
-  s.first_exact = first_.exact;
-  s.second_min = second_.min;
-  s.second_shift = second_.shift;
-  s.second_exact = second_.exact;
-  return s;
-}
-
-void SortKeyPlan::AdoptEncodings(const EncodingSnapshot& snapshot) {
-  if (!valid_ || encodings_ready_) return;
-  packed_ = snapshot.packed && candidate_packed_;
-  first_.min = snapshot.first_min;
-  first_.shift = snapshot.first_shift;
-  first_.exact = snapshot.first_exact;
-  second_.min = snapshot.second_min;
-  second_.shift = snapshot.second_shift;
-  second_.exact = snapshot.second_exact;
-  DeriveTieOrder();
-  encodings_ready_ = true;
-}
-
-bool SortKeyPlan::BuildSingleKeys(std::vector<uint64_t>& keys) const {
-  const IColumn& col = *first_.column;
-  const uint32_t n = universe_;
+/// Writes the single-shape keys of column `c` for rows [0, n). Returns true
+/// when an INT64_MAX date saturated (the encoding is then inexact).
+bool BuildSingleKeys(const SortKeyPlan::Component& c, uint32_t n,
+                     std::vector<uint64_t>& keys) {
+  const IColumn& col = *c.column;
   const NullMask& nulls = col.null_mask();
   const bool check_nulls = !nulls.empty();
   bool saturated = false;
@@ -296,14 +142,14 @@ bool SortKeyPlan::BuildSingleKeys(std::vector<uint64_t>& keys) const {
     // must map to the missing key explicitly so descending complements
     // place it first).
     for (uint32_t r = 0; r < n; ++r) {
-      uint32_t c = codes[r];
-      keys[r] = c == StringColumn::kMissingCode
+      uint32_t code = codes[r];
+      keys[r] = code == StringColumn::kMissingCode
                     ? kMissingKey
-                    : static_cast<uint64_t>(c);
+                    : static_cast<uint64_t>(code);
     }
   }
 
-  if (!first_.ascending) {
+  if (!c.orientation.ascending) {
     // Complementing reverses the key order and sends the missing key to 0,
     // exactly reproducing `ascending ? c : -c` over missing-last CompareRows.
     for (auto& k : keys) k = ~k;
@@ -311,16 +157,15 @@ bool SortKeyPlan::BuildSingleKeys(std::vector<uint64_t>& keys) const {
   return saturated;
 }
 
-namespace {
-
 /// Writes one packed component into its 32-bit half of every key. The first
 /// component initializes the key, the second ORs into it.
-void EncodePackedComponentInto(const SortKeyPlan::Component& c, uint32_t n,
+void EncodePackedComponentInto(const SortKeyPlan::Component& c,
+                               const SortKeyPlan::Transform& t, uint32_t n,
                                int half_shift, bool init,
                                std::vector<uint64_t>& keys) {
   const IColumn& col = *c.column;
   auto put = [&](uint32_t r, uint32_t e) {
-    if (!c.ascending) e = ~e;  // per-column direction (missing moves first)
+    if (!c.orientation.ascending) e = ~e;  // missing moves first
     uint64_t part = static_cast<uint64_t>(e) << half_shift;
     if (init) {
       keys[r] = part;
@@ -337,7 +182,7 @@ void EncodePackedComponentInto(const SortKeyPlan::Component& c, uint32_t n,
   }
   const NullMask& nulls = col.null_mask();
   const bool check_nulls = !nulls.empty();
-  const uint64_t min = static_cast<uint64_t>(c.min);
+  const uint64_t min = static_cast<uint64_t>(t.min);
   if (const int32_t* raw = col.RawInt()) {
     for (uint32_t r = 0; r < n; ++r) {
       if (check_nulls && nulls.IsMissing(r)) {
@@ -346,7 +191,7 @@ void EncodePackedComponentInto(const SortKeyPlan::Component& c, uint32_t n,
       }
       uint64_t diff =
           static_cast<uint64_t>(static_cast<int64_t>(raw[r])) - min;
-      put(r, static_cast<uint32_t>(diff >> c.shift));
+      put(r, static_cast<uint32_t>(diff >> t.shift));
     }
     return;
   }
@@ -357,52 +202,24 @@ void EncodePackedComponentInto(const SortKeyPlan::Component& c, uint32_t n,
         continue;
       }
       uint64_t diff = static_cast<uint64_t>(raw64[r]) - min;
-      put(r, static_cast<uint32_t>(diff >> c.shift));
+      put(r, static_cast<uint32_t>(diff >> t.shift));
     }
     return;
   }
 }
 
-}  // namespace
-
-void SortKeyPlan::BuildPackedKeys(std::vector<uint64_t>& keys) const {
-  EncodePackedComponentInto(first_, universe_, 32, /*init=*/true, keys);
-  EncodePackedComponentInto(second_, universe_, 0, /*init=*/false, keys);
-}
-
-SortKeyPlan::KeysPtr SortKeyPlan::BuildKeys() {
-  auto keys = std::make_shared<std::vector<uint64_t>>(universe_, 0);
-  if (encodings_ready_) {
-    if (packed_) {
-      BuildPackedKeys(*keys);
-    } else {
-      BuildSingleKeys(*keys);
-    }
-    return keys;
-  }
-  // Cold build: fix the encodings on the way. The packed transforms need
-  // their min/max pre-pass before any key can be encoded, but the single
-  // shape's only data-derived decision (INT64_MAX saturation) is detected
-  // inside the key pass itself — one fused scan, not two.
-  FinalizeShape();
-  if (packed_) {
-    BuildPackedKeys(*keys);
-  } else if (BuildSingleKeys(*keys)) {
-    first_.exact = false;
-  }
-  DeriveTieOrder();
-  encodings_ready_ = true;
-  return keys;
-}
-
-std::optional<std::pair<uint32_t, bool>> SortKeyPlan::EncodePackedCell(
-    const Component& c, const Value& v) const {
+/// 32-bit packed encoding of one start cell for component `c`; second ==
+/// true when equal components imply equal values (drives band width).
+std::optional<std::pair<uint32_t, bool>> EncodePackedCell(
+    const SortKeyPlan::Component& c, const SortKeyPlan::Transform& t,
+    const Value& v) {
+  const DataKind kind = c.column->kind();
   uint32_t enc = 0;
   bool value_exact = true;
   if (std::holds_alternative<std::monostate>(v)) {
     // Missing is its own component value: rows match it exactly.
     enc = kMissingComponent;
-  } else if (IsStringKind(c.kind)) {
+  } else if (IsStringKind(kind)) {
     const auto* s = std::get_if<std::string>(&v);
     if (s == nullptr) return std::nullopt;
     // The dictionary is sorted, so the insertion point partitions the codes;
@@ -430,42 +247,113 @@ std::optional<std::pair<uint32_t, bool>> SortKeyPlan::EncodePackedCell(
       i = static_cast<int64_t>(*pd);
     }
     if (!i.has_value()) return std::nullopt;
-    if (c.kind == DataKind::kDate && pi == nullptr &&
+    if (kind == DataKind::kDate && pi == nullptr &&
         (*i > (1LL << 53) || *i < -(1LL << 53))) {
       // A double-derived view beyond 2^53 is lossy against int64 rows: the
       // virtual fallback would compare as doubles and could disagree.
       return std::nullopt;
     }
-    if (*i < c.min) {
+    if (*i < t.min) {
       enc = 0;  // below every present row: only the bottom bucket re-compares
       value_exact = false;
     } else {
-      uint64_t diff = static_cast<uint64_t>(*i) - static_cast<uint64_t>(c.min);
-      uint64_t e = diff >> c.shift;
+      uint64_t diff = static_cast<uint64_t>(*i) - static_cast<uint64_t>(t.min);
+      uint64_t e = diff >> t.shift;
       if (e > kMaxComponent) {
         enc = kMaxComponent;  // above every present row
         value_exact = false;
       } else {
         enc = static_cast<uint32_t>(e);
-        value_exact = (c.shift == 0);
+        value_exact = (t.shift == 0);
       }
     }
   }
-  if (!c.ascending) enc = ~enc;
+  if (!c.orientation.ascending) enc = ~enc;
   return std::make_pair(enc, value_exact);
+}
+
+}  // namespace
+
+SortKeyPlan::SortKeyPlan(const Table& table, const RecordOrder& order) {
+  // O(columns), not O(rows): everything data-derived waits for BuildKeys(),
+  // so a cache lookup costs no column scan.
+  const auto& orientations = order.orientations();
+  for (size_t i = 0; i < orientations.size(); ++i) {
+    ColumnPtr column = table.GetColumnOrNull(orientations[i].column);
+    if (column == nullptr) continue;
+    if (first_.column == nullptr) {
+      first_ = Component{column, orientations[i], i};
+      continue;
+    }
+    if (second_.column == nullptr) {
+      second_ = Component{column, orientations[i], i};
+    }
+    rest_.push_back(orientations[i]);
+  }
+  if (!valid()) return;
+  // Candidate packed 32+32 shape: both leading columns narrow. Whether
+  // packing actually engages depends on the first column's value range
+  // (BuildKeys); the candidacy alone fixes the cache identity.
+  candidate_packed_ = second_.column != nullptr &&
+                      IsNarrow(*first_.column) && IsNarrow(*second_.column);
+  key_columns_.push_back(first_.column);
+  if (candidate_packed_) key_columns_.push_back(second_.column);
+}
+
+SortKeyPlan::KeysPtr SortKeyPlan::BuildKeys() {
+  const uint32_t n = first_.column->size();  // the universe
+  auto keys = std::make_shared<std::vector<uint64_t>>(n, 0);
+  Encodings encodings;
+  // The packed transforms need their min/max pre-pass before any key can be
+  // encoded, and pack only when the first one is exact: a lossy high half
+  // would let the low half override the true first-column order. The single
+  // shape's one data-derived decision (INT64_MAX saturation) is detected
+  // inside the key pass itself.
+  if (candidate_packed_) {
+    const Transform first = PackTransform(*first_.column);
+    if (first.exact) {
+      encodings.packed = true;
+      encodings.first = first;
+      encodings.second = PackTransform(*second_.column);
+    }
+  }
+  if (encodings.packed) {
+    EncodePackedComponentInto(first_, encodings.first, n, 32, /*init=*/true,
+                              *keys);
+    EncodePackedComponentInto(second_, encodings.second, n, 0,
+                              /*init=*/false, *keys);
+  } else {
+    encodings.first.exact = !BuildSingleKeys(first_, n, *keys);
+  }
+  Adopt(keys, encodings);
+  return keys;
+}
+
+void SortKeyPlan::Adopt(KeysPtr keys, const Encodings& encodings) {
+  keys_ = std::move(keys);
+  encodings_ = encodings;
+  // Key ties re-compare an inexactly encoded column, then the columns after
+  // the encoded prefix.
+  tie_order_.clear();
+  if (!exact()) {
+    tie_order_.push_back(packed() ? second_.orientation : first_.orientation);
+  }
+  tie_order_.insert(tie_order_.end(), rest_.begin() + (packed() ? 1 : 0),
+                    rest_.end());
 }
 
 std::optional<SortKeyPlan::StartKeyBand> SortKeyPlan::EncodeStartKey(
     const std::vector<Value>& cells) const {
-  if (!valid_ || !encodings_ready_) return std::nullopt;
-  if (!packed_) {
-    if (first_index_ >= cells.size()) return std::nullopt;
-    auto enc = EncodeStartCell(cells[first_index_]);
+  if (!built() || first_.orientation_index >= cells.size()) {
+    return std::nullopt;
+  }
+  if (!packed()) {
+    auto enc = EncodeStartCell(cells[first_.orientation_index]);
     if (!enc.has_value()) return std::nullopt;
     return StartKeyBand{*enc, *enc};
   }
-  if (first_.orientation_index >= cells.size()) return std::nullopt;
-  auto e0 = EncodePackedCell(first_, cells[first_.orientation_index]);
+  auto e0 = EncodePackedCell(first_, encodings_.first,
+                             cells[first_.orientation_index]);
   if (!e0.has_value()) return std::nullopt;
   uint64_t hi = static_cast<uint64_t>(e0->first) << 32;
   if (!e0->second || second_.orientation_index >= cells.size()) {
@@ -474,7 +362,8 @@ std::optional<SortKeyPlan::StartKeyBand> SortKeyPlan::EncodeStartKey(
     // outside it the first column alone decides.
     return StartKeyBand{hi, hi | 0xFFFFFFFFull};
   }
-  auto e1 = EncodePackedCell(second_, cells[second_.orientation_index]);
+  auto e1 = EncodePackedCell(second_, encodings_.second,
+                             cells[second_.orientation_index]);
   if (!e1.has_value()) return StartKeyBand{hi, hi | 0xFFFFFFFFull};
   // First component exact: equal high halves mean equal first-column values,
   // so the second component's monotone order applies and the band collapses
@@ -485,11 +374,12 @@ std::optional<SortKeyPlan::StartKeyBand> SortKeyPlan::EncodeStartKey(
 }
 
 std::optional<uint64_t> SortKeyPlan::EncodeStartCell(const Value& v) const {
-  if (!valid_ || !encodings_ready_ || packed_) return std::nullopt;
+  if (!built() || packed()) return std::nullopt;
+  const DataKind kind = first_.column->kind();
   uint64_t enc = 0;
   if (std::holds_alternative<std::monostate>(v)) {
     enc = kMissingKey;
-  } else if (IsStringKind(first_.kind)) {
+  } else if (IsStringKind(kind)) {
     const auto* s = std::get_if<std::string>(&v);
     if (s == nullptr) return std::nullopt;
     // The dictionary is sorted, so the insertion point partitions the codes:
@@ -512,7 +402,7 @@ std::optional<uint64_t> SortKeyPlan::EncodeStartCell(const Value& v) const {
                static_cast<double>(static_cast<int64_t>(*pd)) == *pd) {
       i = static_cast<int64_t>(*pd);
     }
-    switch (first_.kind) {
+    switch (kind) {
       case DataKind::kDouble: {
         if (pi != nullptr && (*pi > (1LL << 53) || *pi < -(1LL << 53))) {
           return std::nullopt;  // int64 that may not round-trip via double
@@ -543,15 +433,15 @@ std::optional<uint64_t> SortKeyPlan::EncodeStartCell(const Value& v) const {
         return std::nullopt;
     }
   }
-  return first_.ascending ? enc : ~enc;
+  return first_.orientation.ascending ? enc : ~enc;
 }
 
 std::string SortKeyPlan::CacheKey() const {
   // Candidate-shape tag + per-component column object identity and
-  // direction, all stage-1 facts, so a lookup needs no column scan. Column
-  // data is immutable, so the object pointer is the layout fingerprint
-  // (final shape and transforms are deterministic per column data — one
-  // candidate key maps to exactly one snapshot), and the cache re-validates
+  // direction, all fixed when the plan binds, so a lookup needs no column
+  // scan. Column data is immutable, so the object pointer is the layout
+  // fingerprint (encodings are deterministic per column data — one
+  // candidate key maps to exactly one Encodings), and the cache re-validates
   // liveness through key_columns() before serving, which rules out recycled
   // allocations. Tail columns are deliberately excluded: they do not
   // influence the key vector, so orders differing only in their tie tail
@@ -561,7 +451,7 @@ std::string SortKeyPlan::CacheKey() const {
     key += '|';
     key += std::to_string(
         reinterpret_cast<uintptr_t>(static_cast<const void*>(c.column.get())));
-    key += c.ascending ? '+' : '-';
+    key += c.orientation.ascending ? '+' : '-';
   };
   append_component(first_);
   if (candidate_packed_) append_component(second_);

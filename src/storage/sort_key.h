@@ -67,14 +67,14 @@ inline double DecodeF64(uint64_t word) {
 /// both have a narrow layout (int32, date/int64, dictionary codes): each
 /// column maps through a monotone per-column transform
 /// `(v - min) >> shift` into 32 bits (min/shift derived from the column's
-/// value range in a pre-pass), the first column in the high half and the
-/// second in the low half, so multi-column ties resolve with the same single
-/// integer comparison. The transform is *exact* (injective on present
-/// values) when shift == 0; an inexact component simply widens the tie set —
-/// equal keys fall back to the virtual comparison. The first component must
-/// be exact for packing (a lossy high half would let the low half override
-/// the true first-column order); a range too wide for 32 bits there falls
-/// back to the single-key shape.
+/// value range), the first column in the high half and the second in the
+/// low half, so multi-column ties resolve with the same single integer
+/// comparison. The transform is *exact* (injective on present values) when
+/// shift == 0; an inexact component simply widens the tie set — equal keys
+/// fall back to the virtual comparison. The first component must be exact
+/// for packing (a lossy high half would let the low half override the true
+/// first-column order); a range too wide for 32 bits there falls back to
+/// the single-key shape.
 ///
 /// Missing values encode as the all-ones component/key, matching
 /// IColumn::CompareRows' missing-last contract; a descending orientation
@@ -86,90 +86,70 @@ inline double DecodeF64(uint64_t word) {
 /// "tied on the prefix" and the comparison falls back to the virtual path for
 /// the remaining order columns (plus any inexactly-encoded prefix columns).
 ///
-/// Construction is split from materialization so a worker-resident
-/// SortKeyCache can reuse the (expensive) key column across scans. The
-/// deferred constructor only binds columns (cheap layout checks — enough
-/// for CacheKey); `FinalizeEncodings()` runs the O(n) read-only pre-passes
-/// that fix the shape (packed vs single, min/shift transforms, exactness);
-/// `BuildKeys()` (which finalizes first) materializes the key vector; and
-/// on a cache hit `AdoptEncodings()` + `AdoptKeys()` restore both from the
-/// cache entry, skipping every O(n) pass.
+/// A plan has two states, with one way into each:
+///   - *bound* (the constructor, O(columns)): the leading columns and the
+///     candidate shape are fixed, which is all CacheKey() needs; no column
+///     is read;
+///   - *built* (built()): the key vector and the encodings derived with it
+///     exist together. BuildKeys() gets there in one fused O(universe) pass,
+///     the only place encodings are derived; Adopt() gets there from a
+///     SortKeyCache entry, which holds what BuildKeys() made on a plan with
+///     the same CacheKey.
+/// Everything but valid(), CacheKey() and key_columns() needs a built plan.
 class SortKeyPlan {
  public:
   using KeysPtr = std::shared_ptr<const std::vector<uint64_t>>;
 
-  /// Deterministic snapshot of the data-derived encoding decisions, cached
-  /// next to the key vector so a hit restores the full plan without
-  /// re-reading the columns. Same CacheKey (same column objects, directions,
-  /// candidate shape) always yields the same snapshot.
-  struct EncodingSnapshot {
-    bool packed = false;
-    int64_t first_min = 0;
-    int64_t second_min = 0;
-    uint32_t first_shift = 0;
-    uint32_t second_shift = 0;
-    bool first_exact = true;
-    bool second_exact = true;
+  /// The packing transform of one component, `enc = (v - min) >> shift`.
+  /// `exact` means equal encodings imply equal values: shift == 0 for a
+  /// packed component, no INT64_MAX saturation for the single shape.
+  struct Transform {
+    int64_t min = 0;
+    uint32_t shift = 0;
+    bool exact = true;
   };
 
-  /// Defers key materialization: the caller adopts cached keys or calls
-  /// BuildKeys() explicitly (the SortKeyCache path).
-  struct DeferKeysTag {};
-  static constexpr DeferKeysTag kDeferKeys{};
+  /// The data-derived half of a built plan, O(components): what a cache
+  /// entry keeps beside the key vector. The same CacheKey over the same data
+  /// always derives the same Encodings.
+  struct Encodings {
+    bool packed = false;
+    Transform first;
+    Transform second;  // packed plans only
+  };
 
-  /// Plans, finalizes encodings, *and* materializes keys for every universe
-  /// row of `table` under `order`. `valid()` is false when the first
-  /// effective order column is absent or has no raw layout; callers then
-  /// use the virtual RowComparator path.
+  /// Binds the first order column that exists (orientations naming unknown
+  /// columns are skipped, as in RowComparator), the candidate second column
+  /// and the tie tail. `valid()` is false when no order column exists;
+  /// callers then use the virtual RowComparator path.
   SortKeyPlan(const Table& table, const RecordOrder& order);
 
-  /// Binds only (cheap; no O(n) passes): enough for CacheKey lookups.
-  /// keys() is unusable until AdoptKeys()/BuildKeys(), and the shape
-  /// accessors (packed/exact/TotalOrder/tie_order/EncodeStartKey) until
-  /// FinalizeEncodings()/AdoptEncodings().
-  SortKeyPlan(const Table& table, const RecordOrder& order, DeferKeysTag);
+  bool valid() const { return first_.column != nullptr; }
+  bool built() const { return keys_ != nullptr; }
 
-  bool valid() const { return valid_; }
-
-  /// The materialized key column; requires has_keys().
-  const std::vector<uint64_t>& keys() const { return *keys_; }
-  bool has_keys() const { return keys_ != nullptr; }
-
-  /// Fixes the encoding decisions (packed vs single, min/shift transforms,
-  /// exactness, tie order) without materializing keys, via O(n) read-only
-  /// pre-passes — for callers that want the shape alone. BuildKeys() fixes
-  /// them as a side effect of the key pass instead (fused, one scan), so
-  /// most callers never call this. Idempotent; deterministic for a given
-  /// CacheKey, so both routes reach identical decisions.
-  void FinalizeEncodings();
-  bool encodings_ready() const { return encodings_ready_; }
-
-  /// The finalized decisions, for caching; requires encodings_ready().
-  EncodingSnapshot encodings() const;
-
-  /// Restores previously finalized decisions (the cache-hit path, skipping
-  /// the pre-passes). The snapshot must come from a plan with the same
-  /// CacheKey, which makes it byte-identical to what FinalizeEncodings()
-  /// would derive.
-  void AdoptEncodings(const EncodingSnapshot& snapshot);
-
-  /// Materializes the key column (O(universe)), finalizing encodings along
-  /// the way when not already done. Pure function of the plan: identical
-  /// plans over the same data build identical keys, which is what makes the
-  /// vector safely cacheable.
+  /// Materializes the key column of a valid plan (O(universe)), deriving
+  /// the encodings in the same pass, and leaves the plan built. Pure
+  /// function of the plan: identical plans over the same data build
+  /// identical keys and encodings, which is what makes them cacheable.
   KeysPtr BuildKeys();
 
-  /// Binds a key vector previously produced by BuildKeys() on an identical
-  /// plan (same CacheKey) — the SortKeyCache hit path.
-  void AdoptKeys(KeysPtr keys) { keys_ = std::move(keys); }
+  /// Leaves the plan built from keys and encodings that BuildKeys() made on
+  /// a plan with the same CacheKey (the SortKeyCache hit path).
+  void Adopt(KeysPtr keys, const Encodings& encodings);
+
+  /// The materialized key column.
+  const std::vector<uint64_t>& keys() const { return *keys_; }
+  const Encodings& encodings() const { return encodings_; }
 
   /// True when the plan packs two columns into one 32+32 key.
-  bool packed() const { return packed_; }
+  bool packed() const { return encodings_.packed; }
 
   /// True when equal keys imply equal values on every encoded column
   /// (no saturated/shifted component), i.e. the tie-break may skip the
-  /// encoded prefix.
-  bool exact() const { return exact_; }
+  /// encoded prefix. (A packed first component is exact by construction.)
+  bool exact() const {
+    return encodings_.first.exact && encodings_.second.exact;
+  }
 
   /// True when key order (plus row-id tiebreak) is the complete record
   /// order: every effective order column is encoded exactly.
@@ -200,10 +180,6 @@ class SortKeyPlan {
   /// value does not embed exactly.
   std::optional<uint64_t> EncodeStartCell(const Value& v) const;
 
-  /// Index into the order's orientations of the first effective column
-  /// (orientations naming unknown columns are skipped, as in RowComparator).
-  size_t first_column_index() const { return first_index_; }
-
   /// The orientations a key tie must still compare through the virtual path:
   /// the columns after the encoded prefix, preceded by any prefix column
   /// whose encoding is inexact. Empty means key order (plus row id) is the
@@ -223,45 +199,21 @@ class SortKeyPlan {
   /// these are still alive before serving an entry.
   const std::vector<ColumnPtr>& key_columns() const { return key_columns_; }
 
-  /// One encoded column: its binding plus the 32-bit packing transform
-  /// (unused by the single-key shape). Public only so the key-building
-  /// helpers in sort_key.cc can take it; not part of the caller API.
+  /// One bound order column. Public only so the key-building helpers in
+  /// sort_key.cc can take it; not part of the caller API.
   struct Component {
     ColumnPtr column;
-    DataKind kind = DataKind::kDouble;
-    bool ascending = true;
+    ColumnSortOrientation orientation;
     size_t orientation_index = 0;
-    int64_t min = 0;     // packed transform: enc = (v - min) >> shift
-    uint32_t shift = 0;  // 0 == exact (injective on present values)
-    bool exact = true;
   };
 
  private:
-  void Plan(const Table& table, const RecordOrder& order);
-  void FinalizeShape();
-  void DeriveTieOrder();
-  /// Returns true when an INT64_MAX date saturated (the encoding is then
-  /// inexact; the cold-build path folds this into first_.exact).
-  bool BuildSingleKeys(std::vector<uint64_t>& keys) const;
-  void BuildPackedKeys(std::vector<uint64_t>& keys) const;
-  /// 32-bit packed encoding of one start cell for component `c`; second ==
-  /// true when equal components imply equal values (drives band width).
-  std::optional<std::pair<uint32_t, bool>> EncodePackedCell(
-      const Component& c, const Value& v) const;
-
-  bool valid_ = false;
-  bool candidate_packed_ = false;  // both leading columns narrow (stage 1)
-  bool encodings_ready_ = false;
-  bool packed_ = false;
-  bool exact_ = true;
-  size_t first_index_ = 0;
-  uint32_t universe_ = 0;
+  bool candidate_packed_ = false;  // both leading columns narrow
   Component first_;
-  Component second_;  // bound only when candidate_packed_
-  ColumnSortOrientation first_orient_;
-  ColumnSortOrientation second_orient_;
+  Component second_;
   std::vector<ColumnPtr> key_columns_;
   std::vector<ColumnSortOrientation> rest_;  // effective columns after first
+  Encodings encodings_;
   std::vector<ColumnSortOrientation> tie_order_;
   KeysPtr keys_;
 };
@@ -269,7 +221,7 @@ class SortKeyPlan {
 /// Row comparator over a SortKeyPlan: one integer comparison on the normal
 /// keys, then the virtual tie-break order only on key ties. Mirrors
 /// RowComparator's Compare/Less contract over the full record order. The
-/// plan must have materialized (or adopted) keys.
+/// plan must be built.
 class KeyComparator {
  public:
   KeyComparator(const Table& table, const SortKeyPlan& plan)
@@ -299,18 +251,6 @@ class KeyComparator {
   bool has_tie_;
   RowComparator tie_;
 };
-
-/// Member/sample density gate shared by every keyed scan path (next-items,
-/// quantile): materializing keys costs O(universe), so a cold build only
-/// pays off when the scan touches at least 1 in 2^kKeyedScanDensityShift
-/// universe rows. Cached (already materialized) keys skip this gate — reuse
-/// is free regardless of density. Kept in one place so the cached-key path
-/// and the inline path cannot drift.
-inline constexpr uint32_t kKeyedScanDensityShift = 4;  // >= 1/16 of universe
-
-inline bool KeyedScanProfitable(uint64_t scan_rows, uint64_t universe) {
-  return scan_rows >= (universe >> kKeyedScanDensityShift);
-}
 
 }  // namespace hillview
 

@@ -4,8 +4,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "storage/sort_key.h"
@@ -14,20 +14,20 @@
 
 namespace hillview {
 
-/// Worker-resident cache of materialized sort-key columns, the auxiliary
-/// structure behind repeated scrolls and zooms of the same sorted view: the
-/// first order-based sketch over a (table, order) pair pays the O(universe)
-/// key-extraction pass, every later one reuses the vector (§5.4's
-/// memoization argument applied below the summary level). Because keys cover
-/// the whole universe independent of membership, filter-derived tables that
-/// share their parent's columns hit the same entry — a zoom-in scroll reuses
-/// the pre-zoom keys.
+/// Worker-resident cache of built sort keys, the auxiliary structure behind
+/// repeated scrolls and zooms of the same sorted view: the first
+/// order-based sketch over a (table, order) pair pays the O(universe)
+/// SortKeyPlan::BuildKeys pass, every later one adopts the vector and its
+/// encodings (§5.4's memoization argument applied below the summary level).
+/// Because keys cover the whole universe independent of membership,
+/// filter-derived tables that share their parent's columns hit the same
+/// entry — a zoom-in scroll reuses the pre-zoom keys.
 ///
 /// This is soft state in the §5.8 sense: Worker::Restart() (crash) and
 /// Worker::EvictCaches() (memory manager) both Clear() it, and everything it
-/// held is reconstructible by re-running SortKeyPlan::BuildKeys. Memory is
-/// bounded by a byte budget (keys are 8 bytes × universe rows — entry counts
-/// would be meaningless), evicting least-recently-used entries.
+/// held is reconstructible by re-running BuildKeys. Memory is bounded by a
+/// byte budget (keys are 8 bytes × universe rows — entry counts would be
+/// meaningless), evicting least-recently-used entries.
 ///
 /// Entries are keyed by SortKeyPlan::CacheKey() — column object identity
 /// plus direction and shape — and additionally hold weak references to the
@@ -35,12 +35,12 @@ namespace hillview {
 /// lookup, so a recycled allocation can never be served stale keys.
 ///
 /// Thread-safe: worker pools summarize partitions concurrently; one mutex
-/// guards the SingleFlightLru of key vectors, the encoding side-cache and
-/// every counter. Concurrent misses on the same plan are *single-flight*
-/// through GetOrBuild(): the first thread builds, later threads park and
-/// adopt the builder's vector instead of re-running the O(n) key pass (the
-/// `coalesced_builds` counter observes this). Direct Puts may still race
-/// benignly; the second replaces the first with an identical vector.
+/// guards the SingleFlightLru of built keys and every counter. The only way
+/// in is GetOrBuild(), which is *single-flight*: the first thread to miss
+/// builds, later threads for the same plan park and adopt the builder's
+/// result instead of re-running the O(n) key pass (`coalesced_builds`
+/// observes this). A build that raced Clear() still serves its waiters but
+/// stays out of the LRU.
 class SortKeyCache {
  public:
   using KeysPtr = SortKeyPlan::KeysPtr;
@@ -64,44 +64,25 @@ class SortKeyCache {
     int64_t coalesced_builds = 0;
     /// Threads currently parked on an in-flight build (test observability).
     int64_t waiters = 0;
-    /// Key misses that still skipped the O(n) encoding pre-passes (packed
-    /// min/max scans) by adopting a snapshot from the encoding side-cache —
-    /// the saving for views whose key vectors are too large to cache.
-    int64_t encoding_hits = 0;
   };
 
   explicit SortKeyCache(size_t max_bytes = kDefaultMaxBytes)
       : keys_(max_bytes) {}
 
-  /// Inserts (or replaces) the keys for `plan` (whose encodings must be
-  /// finalized), evicting LRU entries beyond the byte budget. Vectors
-  /// larger than the whole budget are not cached. `generation` is the value
-  /// of generation() read before the key build: a Clear() in between (crash
-  /// / memory-manager eviction racing an in-flight Summarize) invalidates
-  /// the insert, so evicted state cannot sneak back into the budget.
-  void Put(const SortKeyPlan& plan, KeysPtr keys, uint64_t generation)
-      EXCLUDES(mutex_);
-
-  /// The single-flight consult path: cached keys if present (a hit adopts
-  /// the entry's encoding snapshot into `plan`, so the caller skips both the
-  /// key build and the O(n) encoding pre-passes); otherwise the first caller
-  /// builds (when `build_allowed`) while concurrent callers for the same
-  /// plan that would also have built wait and adopt the builder's result.
-  /// Returns nullptr when nothing is cached and building is not allowed —
+  /// Leaves `plan` built and returns its keys: a hit adopts the cached
+  /// vector and encodings, skipping every O(n) pass; otherwise the first
+  /// caller builds (when `build_allowed`) while concurrent callers for the
+  /// same plan that would also have built wait and adopt the builder's
+  /// result, even one too large for the budget. Returns nullptr, leaving
+  /// the plan unbuilt, when nothing is cached and building is not allowed —
   /// without waiting on an in-flight build, because such callers
   /// (low-density scans) finish faster on the virtual comparator path than
-  /// any O(universe) key pass they could wait for. A Clear() racing the
-  /// build discards the insert as usual; waiters are still served from the
-  /// flight and later callers rebuild.
+  /// any O(universe) key pass they could wait for.
   KeysPtr GetOrBuild(SortKeyPlan& plan, bool build_allowed) EXCLUDES(mutex_);
 
-  /// Drops everything (crash-restart / cache eviction, §5.8) and bumps the
-  /// generation so racing Puts are discarded.
+  /// Drops everything (crash-restart / cache eviction, §5.8); a build in
+  /// flight still serves its waiters, but its keys stay out of the LRU.
   void Clear() EXCLUDES(mutex_);
-
-  /// Monotone counter incremented by Clear(); read it before building keys
-  /// and pass it to Put.
-  uint64_t generation() const EXCLUDES(mutex_);
 
   /// All counters and sizes, read atomically under the lock. Soft-state
   /// regression tests assert a repeat scroll hits and an eviction resets to
@@ -114,47 +95,23 @@ class SortKeyCache {
   void SetInFlightHookForTest(std::function<void()> hook) EXCLUDES(mutex_);
 
  private:
-  /// A plan's finalized encodings with weak references to the columns they
-  /// were derived from: an entry whose columns died (and whose addresses may
-  /// have been recycled) is never served.
-  struct Encodings {
-    SortKeyPlan::EncodingSnapshot snapshot;
-    std::vector<std::weak_ptr<const IColumn>> columns;
-  };
+  /// A built plan's keys and encodings, with weak references to the columns
+  /// they were derived from: an entry whose columns died (and whose
+  /// addresses may have been recycled) is never served.
   struct Cached {
     KeysPtr keys;
-    Encodings encodings;
+    SortKeyPlan::Encodings encodings;
+    std::vector<std::weak_ptr<const IColumn>> columns;
   };
   using Lru = SingleFlightLru<Cached>;
 
-  static Encodings EncodingsOf(const SortKeyPlan& plan);
-  /// True when every column `e` was derived from is the live object `plan`
+  /// True when every column `c` was derived from is the live object `plan`
   /// bound.
-  static bool Live(const Encodings& e, const SortKeyPlan& plan);
-  static bool Dead(const Encodings& e);
-
-  /// Encoding snapshots are O(components) — a few dozen bytes — so they get
-  /// their own side-cache outside the byte budget: even when a key vector is
-  /// too large to cache (or was evicted), a rescan of the same very wide
-  /// table skips the packed-transform min/max pre-passes. Capped by entry
-  /// count; dead entries are swept when it is full.
-  static constexpr size_t kMaxEncodingEntries = 256;
-
-  /// Evicts entries whose columns died: they can never be served again, so
-  /// they must not squat on the byte budget. Runs before every insert.
-  void DropDeadEntriesLocked() REQUIRES(mutex_);
-  /// Saves `plan`'s finalized encodings in the side-cache.
-  void RecordEncodingsLocked(const std::string& key, const SortKeyPlan& plan)
-      REQUIRES(mutex_);
-  /// Adopts a live side-cached snapshot into `plan` (a key miss that still
-  /// skips the O(n) encoding pre-passes).
-  void AdoptEncodingsLocked(const std::string& key, SortKeyPlan& plan)
-      REQUIRES(mutex_);
+  static bool Live(const Cached& c, const SortKeyPlan& plan);
+  static bool Dead(const Cached& c);
 
   mutable Mutex mutex_;
   Lru keys_ GUARDED_BY(mutex_);
-  std::unordered_map<std::string, Encodings> encodings_ GUARDED_BY(mutex_);
-  int64_t encoding_hits_ GUARDED_BY(mutex_) = 0;
   std::function<void()> in_flight_hook_ GUARDED_BY(mutex_);
 };
 
@@ -172,6 +129,26 @@ inline SortKeyPlan::KeysPtr GetOrBuildKeys(SortKeyCache* cache,
     return build_allowed ? plan.BuildKeys() : nullptr;
   }
   return cache->GetOrBuild(plan, build_allowed);
+}
+
+/// Materializing keys costs O(universe), so a cold build pays off only when
+/// the scan touches at least 1 in 2^kKeyedScanDensityShift universe rows.
+inline constexpr uint32_t kKeyedScanDensityShift = 4;  // >= 1/16 of universe
+
+/// The keyed-path decision of the order sketches (next-items, quantile): a
+/// built plan for `order` over `table` when a scan of `scan_rows` rows
+/// should compare through sort keys, nullopt when it should use the
+/// virtual comparator. Keys resident in `cache` are free, so a hit goes
+/// keyed at any density; a cold build runs only past the density gate.
+inline std::optional<SortKeyPlan> KeyedPlan(SortKeyCache* cache,
+                                            const Table& table,
+                                            const RecordOrder& order,
+                                            uint64_t scan_rows) {
+  SortKeyPlan plan(table, order);
+  const bool profitable =
+      scan_rows >= (table.universe_size() >> kKeyedScanDensityShift);
+  if (GetOrBuildKeys(cache, plan, profitable) == nullptr) return std::nullopt;
+  return plan;
 }
 
 }  // namespace hillview

@@ -153,7 +153,6 @@ class SingleFlightLru {
     ++generation_;
   }
 
-  uint64_t generation() const { return generation_; }
   size_t size() const { return entries_.size(); }
   size_t cost() const { return used_; }
   const Counters& counters() const { return counters_; }

@@ -296,6 +296,63 @@ TEST(Cluster, DegradedCoverageOverRestartedWorkerUsesAssignedPartitions) {
   }
 }
 
+TEST(Cluster, DegradedCoverageIgnoresAWorkerThatHoldsNoPartition) {
+  // 3 partitions on 4 workers: worker 3 holds none, so it weighs nothing.
+  // Losing worker 0's partition leaves 2 of 3, not 3 of 4 workers.
+  std::vector<TablePtr> partitions;
+  for (int p = 0; p < 3; ++p) {
+    partitions.push_back(MakeDoubleTable("x", std::vector<double>(100, p)));
+  }
+  cluster::Cluster::Options options;
+  options.max_replay_retries = 0;
+  auto tc = TestCluster::Create(partitions, /*workers=*/4, /*threads=*/1,
+                                options);
+  ASSERT_NE(tc, nullptr);
+  tc->root->RestartWorker(0);
+  RootSession::QueryStats stats;
+  auto count = tc->root->RunSketch<CountResult>(
+      "data", std::make_shared<CountSketch>(), /*seed=*/0,
+      /*cacheable=*/false, &stats);
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_TRUE(stats.degraded);
+  EXPECT_EQ(stats.coverage, 2.0 / 3.0);
+  EXPECT_EQ(count.value().rows, 200);
+}
+
+TEST(Cluster, ZeroPartitionDataSetCountsNoRowsAtFullCoverage) {
+  // No worker holds a partition: the tree still completes, with progress
+  // 1.0 and coverage 1.0, instead of failing as "no partition survived".
+  cluster::Cluster::Options options;
+  options.aggregation.aggregation_window_ms = 0;  // emit every partial
+  auto tc = TestCluster::Create({}, /*workers=*/2, /*threads=*/1, options);
+  ASSERT_NE(tc, nullptr);
+  RootSession::QueryStats stats;
+  auto count = tc->root->RunSketch<CountResult>(
+      "data", std::make_shared<CountSketch>(), /*seed=*/0,
+      /*cacheable=*/false, &stats);
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_FALSE(stats.degraded);
+  EXPECT_EQ(stats.coverage, 1.0);
+  EXPECT_EQ(count.value().rows, 0);
+
+  auto stream = tc->root->RunSketchStream<CountResult>(
+      "data", std::make_shared<CountSketch>());
+  std::vector<PartialResult<CountResult>> partials;
+  stream->Subscribe([&partials](const PartialResult<CountResult>& p) {
+    partials.push_back(p);
+  });
+  stream->BlockingLast();
+  ASSERT_TRUE(stream->final_status().ok())
+      << stream->final_status().ToString();
+  ASSERT_FALSE(partials.empty());
+  for (const auto& p : partials) {
+    EXPECT_GE(p.progress, 0.0);
+    EXPECT_LE(p.progress, 1.0);
+    EXPECT_EQ(p.coverage, 1.0);
+  }
+  EXPECT_EQ(partials.back().progress, 1.0);
+}
+
 TEST(Cluster, FindTextParallelDictionaryAgreesWithInline) {
   // Each partition's dictionary exceeds the parallel-matching threshold
   // (4096 distinct strings), so on the cluster path MatchDictionary chunks

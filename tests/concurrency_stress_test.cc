@@ -80,7 +80,7 @@ TEST(ConcurrencyStress, SortKeyCacheGetOrBuildVsClear) {
     for (int i = 0; i < kThreads; ++i) {
       threads.emplace_back([&] {
         for (int iter = 0; iter < 20; ++iter) {
-          SortKeyPlan plan(*t, order, SortKeyPlan::kDeferKeys);
+          SortKeyPlan plan(*t, order);
           auto keys = cache.GetOrBuild(plan, /*build_allowed=*/true);
           ASSERT_NE(keys, nullptr);
           ASSERT_EQ(keys->size(), 2000u);

@@ -397,7 +397,7 @@ TEST(Quantile, UncompactedSummaryIsTheBruteForceSortCellForCell) {
 }
 
 /// Keys of `a` then `b` merged the way Merge must merge them: stably under
-/// CompareQuantileKeys, so a tie keeps the left key first.
+/// CompareKeyCells, so a tie keeps the left key first.
 std::vector<std::vector<Value>> StableMergedKeys(const QuantileResult& a,
                                                  const QuantileResult& b,
                                                  const RecordOrder& order) {
@@ -406,7 +406,7 @@ std::vector<std::vector<Value>> StableMergedKeys(const QuantileResult& a,
   std::merge(ka.begin(), ka.end(), kb.begin(), kb.end(),
              std::back_inserter(out),
              [&order](const std::vector<Value>& x, const std::vector<Value>& y) {
-               return CompareQuantileKeys(order, x, y) < 0;
+               return CompareKeyCells(order, x, y) < 0;
              });
   return out;
 }

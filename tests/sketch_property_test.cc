@@ -622,7 +622,7 @@ TEST(SketchProperty, QuantileDistributes) {
 // compaction error ledger.
 
 /// Fraction of a summary's total weight (its materialized `keys` with their
-/// `weights`) strictly below `key`, ranked by CompareQuantileKeys, the
+/// `weights`) strictly below `key`, ranked by CompareKeyCells, the
 /// reference order the sketch's column-wise compares must reproduce.
 double WeightedFractionBelow(const std::vector<std::vector<Value>>& keys,
                              const std::vector<uint64_t>& weights,
@@ -631,7 +631,7 @@ double WeightedFractionBelow(const std::vector<std::vector<Value>>& keys,
   uint64_t below = 0, total = 0;
   for (size_t i = 0; i < keys.size(); ++i) {
     total += weights[i];
-    if (CompareQuantileKeys(order, keys[i], key) < 0) below += weights[i];
+    if (CompareKeyCells(order, keys[i], key) < 0) below += weights[i];
   }
   return total == 0 ? 0.0 : static_cast<double>(below) / total;
 }

@@ -435,6 +435,7 @@ TEST(NextItems, KeyedTopKMatchesBruteForce) {
       RecordOrder order(orientations);
       SortKeyPlan plan(*table, order);
       ASSERT_TRUE(plan.valid());
+      plan.BuildKeys();
       EXPECT_EQ(plan.packed(), shape != Shape::kSingle) << columns[0];
       if (shape != Shape::kSingle) {
         EXPECT_EQ(plan.exact(), shape == Shape::kPackedExact) << columns[0];

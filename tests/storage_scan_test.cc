@@ -376,6 +376,7 @@ TEST(SortKey, KeysAgreeWithRowComparatorAcrossMatrix) {
         SortKeyPlan plan(*table, order);
         ASSERT_TRUE(plan.valid())
             << "kind=" << static_cast<int>(kind) << " nulls=" << with_nulls;
+        plan.BuildKeys();
         KeyComparator keyed(*table, plan);
         RowComparator reference(*table, order);
         for (uint32_t a = 0; a < kRows; ++a) {
@@ -412,6 +413,7 @@ TEST(SortKey, MultiColumnTiesFallBackToVirtualTail) {
       RecordOrder order({{"a", asc_a}, {"b", asc_b}});
       SortKeyPlan plan(*table, order);
       ASSERT_TRUE(plan.valid());
+      plan.BuildKeys();
       EXPECT_FALSE(plan.TotalOrder());
       KeyComparator keyed(*table, plan);
       RowComparator reference(*table, order);
@@ -442,6 +444,7 @@ TEST(SortKey, SaturatedInt64StaysConsistent) {
     RecordOrder order({{"t", ascending}});
     SortKeyPlan plan(*table, order);
     ASSERT_TRUE(plan.valid());
+    plan.BuildKeys();
     EXPECT_FALSE(plan.exact());
     KeyComparator keyed(*table, plan);
     RowComparator reference(*table, order);
@@ -562,6 +565,7 @@ TEST(SortKeyPacked, TwoNarrowColumnsAgreeWithRowComparator) {
           RecordOrder order({{"a", asc_a}, {"b", asc_b}});
           SortKeyPlan plan(*table, order);
           ASSERT_TRUE(plan.valid());
+          plan.BuildKeys();
           EXPECT_TRUE(plan.packed())
               << "first=" << static_cast<int>(c.first)
               << " second=" << static_cast<int>(c.second);
@@ -604,6 +608,7 @@ TEST(SortKeyPacked, WideFirstColumnFallsBackToSingleShape) {
   RecordOrder order({{"t", true}, {"i", false}});
   SortKeyPlan plan(*table, order);
   ASSERT_TRUE(plan.valid());
+  plan.BuildKeys();
   EXPECT_FALSE(plan.packed());
   KeyComparator keyed(*table, plan);
   RowComparator reference(*table, order);
@@ -633,6 +638,7 @@ TEST(SortKeyPacked, StartKeyBandPartitionsRows) {
       RecordOrder order({{"a", asc_a}, {"b", true}});
       SortKeyPlan plan(*table, order);
       ASSERT_TRUE(plan.valid());
+      plan.BuildKeys();
       ASSERT_TRUE(plan.packed());
       for (uint32_t start_row = 0; start_row < kRows; start_row += 13) {
         std::vector<Value> key = table->GetRow(start_row, {"a", "b"});
@@ -664,6 +670,7 @@ TEST(SortKeyPacked, SingleShapeBandMatchesEncodeStartCell) {
   RecordOrder order({{"x", true}});
   SortKeyPlan plan(*table, order);
   ASSERT_TRUE(plan.valid());
+  plan.BuildKeys();
   ASSERT_FALSE(plan.packed());
   std::vector<Value> cells{Value(3.0)};
   auto band = plan.EncodeStartKey(cells);
@@ -685,6 +692,7 @@ TEST(SortKey, StartCellThresholdPartitionsRows) {
       RecordOrder order({{"k", ascending}});
       SortKeyPlan plan(*table, order);
       ASSERT_TRUE(plan.valid());
+      plan.BuildKeys();
       // Start keys: materialized cells of real rows, plus values absent
       // from the data (for strings, one lexicographically between codes).
       std::vector<Value> candidates;
