@@ -1,6 +1,6 @@
 // Fault-tolerance demo (§5.7–5.8): derived views survive a worker crash via
-// the root's redo log. The demo builds a filtered view, kills a worker,
-// re-runs the query, and prints the log that made recovery possible.
+// the root's lineage record. The demo builds a filtered view, kills a
+// worker, re-runs the query, and prints the session's redo log.
 //
 //   ./examples/fault_tolerance_demo
 
@@ -55,8 +55,9 @@ int main() {
   root.RestartWorker(1);
 
   // The same query heals transparently: the root notices the missing soft
-  // state (Unavailable), replays its redo log, and retries. The sampled
-  // seeds in the log make randomized vizketches reproducible.
+  // state (Unavailable), rebuilds the base data and the derived view on
+  // worker 1 alone from their lineage, and retries. Sketch seeds make
+  // randomized vizketches reproducible.
   // Force recomputation rather than a cache hit.
   deployment.shared_cache().Clear();
   auto after = with_ratio.value().ColumnRange("DelayRatio");
@@ -71,7 +72,7 @@ int main() {
                   ? "yes"
                   : "NO (bug!)");
 
-  std::printf("\nredo log (the only persistent structure, §5.7):\n%s",
+  std::printf("\nredo log (the session's record, §5.7):\n%s",
               root.redo_log().ToText().c_str());
   return 0;
 }

@@ -43,8 +43,8 @@ int main(int argc, char** argv) {
   std::printf("loading %s ...\n", path.c_str());
 
   // 1. A deployment: one worker with two threads behind a shared Cluster
-  //    (workers, health, cache, scheduler), and one tenant session that owns
-  //    the redo log and render generations.
+  //    (workers, health, cache, scheduler, lineage), and one tenant session
+  //    that owns the redo log and render generations.
   auto worker = std::make_shared<cluster::Worker>("worker0", 2);
   cluster::SimulatedNetwork network;
   cluster::Cluster deployment({worker}, &network);

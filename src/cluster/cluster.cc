@@ -28,16 +28,55 @@ std::shared_ptr<RootSession> Cluster::OpenSession() {
   return std::shared_ptr<RootSession>(new RootSession(this, id));
 }
 
-void Cluster::RecordPartitions(const std::string& dataset_id,
-                               std::vector<int> per_worker) {
+void Cluster::Record(const std::string& dataset_id, Lineage lineage) {
   MutexLock lock(mutex_);
-  partitions_[dataset_id] = std::move(per_worker);
+  lineage_[dataset_id] = std::move(lineage);
+}
+
+int Cluster::Heal(const std::string& dataset_id) {
+  MutexLock lock(mutex_);
+  int rebuilt = 0;
+  for (size_t w = 0; w < workers_.size(); ++w) HealOn(w, dataset_id, &rebuilt);
+  return rebuilt;
+}
+
+bool Cluster::HealOn(size_t w, const std::string& dataset_id, int* rebuilt) {
+  Worker& worker = *workers_[w];
+  if (worker.GetDataSet(dataset_id).ok()) return true;
+  auto it = lineage_.find(dataset_id);
+  if (it == lineage_.end()) return false;
+  const Lineage& lineage = it->second;
+  if (lineage.parent.empty()) {
+    // Round-robin placement: the paper allows arbitrary horizontal
+    // partitioning (§2), so it needs no keying.
+    std::vector<std::shared_ptr<LocalDataSet>> partitions;
+    for (size_t p = w; p < lineage.loaders.size(); p += workers_.size()) {
+      partitions.push_back(LocalDataSet::FromLoader(
+          dataset_id + "[" + std::to_string(p) + "]", lineage.loaders[p]));
+    }
+    worker.RegisterBase(dataset_id, std::move(partitions));
+  } else if (!HealOn(w, lineage.parent, rebuilt) ||
+             !worker.ApplyMap(lineage.parent, dataset_id, lineage.map,
+                              lineage.op_name)
+                  .ok()) {
+    return false;
+  }
+  ++*rebuilt;
+  return true;
 }
 
 std::vector<int> Cluster::Partitions(const std::string& dataset_id) const {
   MutexLock lock(mutex_);
-  auto it = partitions_.find(dataset_id);
-  return it == partitions_.end() ? std::vector<int>() : it->second;
+  auto it = lineage_.find(dataset_id);
+  while (it != lineage_.end() && !it->second.parent.empty()) {
+    it = lineage_.find(it->second.parent);
+  }
+  if (it == lineage_.end()) return {};
+  std::vector<int> per_worker(workers_.size(), 0);
+  for (size_t p = 0; p < it->second.loaders.size(); ++p) {
+    ++per_worker[p % per_worker.size()];
+  }
+  return per_worker;
 }
 
 }  // namespace cluster

@@ -23,11 +23,11 @@ class RootSession;
 /// The shared serving substrate of the multi-tenant root (Fig 1's web
 /// server, split from the per-user state): one Cluster owns the workers, the
 /// simulated interconnect, the per-worker health tracker, the root-resident
-/// shared ComputationCache, and the fair query scheduler. Tenants attach via
-/// OpenSession(), which hands out thin per-session handles (RootSession)
-/// carrying only what is genuinely per-user: a redo log of that user's
-/// exploration, render generations, and a session id for per-tenant byte
-/// accounting.
+/// shared ComputationCache, the fair query scheduler, and the lineage of
+/// every dataset id. Tenants attach via OpenSession(), which hands out thin
+/// per-session handles (RootSession) carrying only what is genuinely
+/// per-user: a redo log of that user's exploration, render generations, and
+/// a session id for per-tenant byte accounting.
 ///
 /// What is shared and why:
 ///  - **Workers + network + health**: physical resources; the paper's
@@ -38,14 +38,16 @@ class RootSession;
 ///    results (see ComputationCache::GetOrBeginCompute).
 ///  - **QueryScheduler**: deficit-round-robin fairness and admission control
 ///    across the sessions' queries.
-///  - **Partition record**: how many partitions the root assigned each
-///    worker per dataset id, so a degraded merge weighs a restarted worker
-///    by what it should hold rather than by what it still knows.
+///  - **Lineage**: one record per dataset id — a base id's partition
+///    loaders, or a derived id's parent and map — from which Heal rebuilds
+///    what a restarted worker lost, on that worker only (§5.7), and from
+///    which a degraded merge weighs a restarted worker by the partitions it
+///    should hold rather than by what it still knows.
 ///
-/// Sessions share the worker-side dataset namespace: LoadDataSet under the
-/// same id from two sessions registers the same (deterministic) loaders, and
-/// cross-session cache keys only collide — by design — when dataset id,
-/// sketch and seed all match.
+/// Sessions share the worker-side dataset namespace: dataset ids are
+/// cluster-global, so any session's query heals any id, and loading an id
+/// that is already live leaves it in place. Cross-session cache keys only
+/// collide — by design — when dataset id, sketch and seed all match.
 ///
 /// Lifetime: the Cluster must outlive every RootSession it opened and every
 /// query they run. Its destructor quiesces the deployment by draining all
@@ -55,8 +57,8 @@ class Cluster {
  public:
   struct Options {
     ParallelDataSet::Options aggregation;
-    /// Query re-runs after an Unavailable failure, each preceded by a full
-    /// redo-log replay. A query whose budget is spent, or that failed any
+    /// Query re-runs after an Unavailable failure, each preceded by a Heal
+    /// of the queried id. A query whose budget is spent, or that failed any
     /// other retriable way, gets one degraded pass that tolerates lost
     /// workers and returns a coverage-marked partial result (§5.7).
     int max_replay_retries = 2;
@@ -98,15 +100,37 @@ class Cluster {
   /// Sessions opened so far (session ids are 0..n-1).
   int sessions_opened() const { return next_session_id_.load(); }
 
-  /// Records how many partitions the root assigned to each worker for
-  /// `dataset_id`. Dataset ids are cluster-global, so the record is too.
-  void RecordPartitions(const std::string& dataset_id,
-                        std::vector<int> per_worker) EXCLUDES(mutex_);
-  /// The recorded per-worker counts, or empty for an unrecorded id.
+  /// How to rebuild one dataset id: a base id's partition loaders (loader
+  /// p on worker p % num_workers), or a derived id's parent and map.
+  struct Lineage {
+    std::vector<LocalDataSet::Loader> loaders;
+    std::string parent;  // empty for a base id
+    TableMap map;
+    std::string op_name;
+  };
+
+  /// Records (or replaces) the lineage of `dataset_id`.
+  void Record(const std::string& dataset_id, Lineage lineage)
+      EXCLUDES(mutex_);
+
+  /// Ensures `dataset_id` is present: on each worker that lacks it, rebuilds
+  /// its missing ancestors and then it, on that worker only. Returns how
+  /// many datasets it rebuilt, summed over workers. An id without a recorded
+  /// base rebuilds nothing, and a worker that restarts again mid-heal is
+  /// left to the next query attempt to find.
+  int Heal(const std::string& dataset_id) EXCLUDES(mutex_);
+
+  /// Partitions per worker of `dataset_id` (a derived id has its base's),
+  /// or empty for an id without a recorded base.
   std::vector<int> Partitions(const std::string& dataset_id) const
       EXCLUDES(mutex_);
 
  private:
+  /// Heal's step on one worker: whether `dataset_id` is present there
+  /// afterwards.
+  bool HealOn(size_t w, const std::string& dataset_id, int* rebuilt)
+      REQUIRES(mutex_);
+
   std::vector<WorkerPtr> workers_;
   SimulatedNetwork* network_;
   Options options_;
@@ -114,9 +138,9 @@ class Cluster {
   ComputationCache shared_cache_;
   QueryScheduler scheduler_;
   std::atomic<int> next_session_id_{0};
+  /// Held across a heal, so concurrent heals of one id rebuild it once.
   mutable Mutex mutex_;
-  std::unordered_map<std::string, std::vector<int>> partitions_
-      GUARDED_BY(mutex_);
+  std::unordered_map<std::string, Lineage> lineage_ GUARDED_BY(mutex_);
 };
 
 }  // namespace cluster

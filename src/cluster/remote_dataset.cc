@@ -48,7 +48,7 @@ double BackoffMs(const SketchOptions::RpcPolicy& rpc, uint64_t seed,
 
 /// True for statuses the retry layer may act on by re-running the sketch.
 /// Only deadline misses retry *here*; Unavailable means soft state is gone
-/// and must heal via the root's redo-log replay instead.
+/// and must heal via the root's lineage record instead.
 bool IsDeadline(const Status& s) {
   return s.code() == StatusCode::kDeadlineExceeded;
 }
@@ -112,7 +112,7 @@ class RpcDriver : public std::enable_shared_from_this<RpcDriver> {
     auto dataset = worker_->GetDataSet(dataset_id_);
     if (!dataset.ok()) {
       // Soft state is gone (worker restarted): not retriable here — only
-      // redo-log replay at the root can rebuild the dataset.
+      // the root's heal can rebuild the dataset.
       SettleAttempt(epoch, dataset.status());
       return;
     }
@@ -255,9 +255,9 @@ class RpcDriver : public std::enable_shared_from_this<RpcDriver> {
         // health-neutral.
       } else {
         // Any response — including Unavailable (soft state lost after a
-        // crash, healable by replay) or an application error — proves the
+        // crash, healable by the root) or an application error — proves the
         // worker is alive. Counting healable Unavailable as breaker failure
-        // would trip the circuit on a worker that replay is about to fix,
+        // would trip the circuit on a worker that a heal is about to fix,
         // and a half-open probe answered with Unavailable must still close
         // the breaker or every later request fast-fails forever.
         health_->RecordSuccess(worker_index_);
@@ -296,7 +296,7 @@ StreamPtr<PartialResult<AnySummary>> RemoteDataSet::RunSketch(
   if (health_ != nullptr && worker_index_ >= 0 &&
       !health_->AllowRequest(worker_index_)) {
     // Circuit open: fast-fail without burning the deadline+retry budget on a
-    // known-dead worker. Unavailable keeps the healing semantics — replay
+    // known-dead worker. Unavailable keeps the healing semantics — a heal
     // can still resurrect it, and a degraded merger counts it as lost.
     out->OnComplete(Status::Unavailable(
         "worker " + worker_->name() + ": circuit breaker open"));
@@ -313,7 +313,8 @@ DataSetPtr RemoteDataSet::Map(TableMap map, const std::string& op_name) {
   network_->SendDown(kRequestOverheadBytes + op_name.size(), worker_index_);
   std::string new_id = dataset_id_ + "/" + op_name;
   // A failed remote map still returns a proxy: the missing dataset surfaces
-  // as Unavailable on the proxy's first use and is healed by redo-log replay.
+  // as Unavailable on the proxy's first use. This edge records no lineage;
+  // RootSession::MapDataSet does.
   (void)worker_->ApplyMap(dataset_id_, new_id, std::move(map), op_name);
   return std::make_shared<RemoteDataSet>(worker_, new_id, network_,
                                          worker_index_, health_,

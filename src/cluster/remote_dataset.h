@@ -20,8 +20,8 @@ namespace cluster {
 /// "machines" share a process.
 ///
 /// The reference is soft (§5.7): if the worker restarted and no longer has
-/// the dataset, RunSketch completes with Unavailable and the root session
-/// replays the redo log.
+/// the dataset, RunSketch completes with Unavailable and the root heals the
+/// id on that worker (Cluster::Heal) before its next attempt.
 ///
 /// Fault handling (options.rpc): each attempt is bounded by a deadline — a
 /// leaf that produced no final summary in time completes kDeadlineExceeded —
@@ -31,8 +31,8 @@ namespace cluster {
 /// corrupted summaries) surface as deadline misses and heal the same way.
 /// This is the only transport retry: a deadline miss that outlasts it makes
 /// the root degrade the query rather than re-run it. Unavailable is NOT
-/// retried here: it means soft state is gone and only the root's redo-log
-/// replay can heal it.
+/// retried here: it means soft state is gone and only the root's lineage
+/// heal can rebuild it.
 ///
 /// When constructed with a WorkerHealth tracker and worker index, the proxy
 /// consults the circuit breaker before each RPC (fast-failing Unavailable

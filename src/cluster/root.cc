@@ -9,34 +9,13 @@ namespace cluster {
 Status RootSession::LoadDataSet(
     const std::string& dataset_id,
     std::vector<LocalDataSet::Loader> partition_loaders) {
-  auto do_register = [this, dataset_id, partition_loaders]() -> Status {
-    const std::vector<WorkerPtr>& ws = cluster_->workers();
-    // Round-robin partition assignment: the paper allows arbitrary
-    // horizontal partitioning (§2), so placement needs no keying.
-    std::vector<std::vector<std::shared_ptr<LocalDataSet>>> per_worker(
-        ws.size());
-    for (size_t p = 0; p < partition_loaders.size(); ++p) {
-      size_t w = p % ws.size();
-      per_worker[w].push_back(LocalDataSet::FromLoader(
-          dataset_id + "[" + std::to_string(p) + "]", partition_loaders[p]));
-    }
-    for (size_t w = 0; w < ws.size(); ++w) {
-      HV_RETURN_IF_ERROR(
-          ws[w]->RegisterBase(dataset_id, std::move(per_worker[w])));
-    }
-    return Status::OK();
-  };
-  HV_RETURN_IF_ERROR(do_register());
-  std::vector<int> per_worker(cluster_->workers().size(), 0);
-  for (size_t p = 0; p < partition_loaders.size(); ++p) {
-    ++per_worker[p % per_worker.size()];
-  }
-  cluster_->RecordPartitions(dataset_id, std::move(per_worker));
+  const size_t partitions = partition_loaders.size();
+  cluster_->Record(dataset_id, {std::move(partition_loaders), "", {}, ""});
+  cluster_->Heal(dataset_id);
   redo_log_.Append("load",
-                   dataset_id + " (" +
-                       std::to_string(partition_loaders.size()) +
+                   dataset_id + " (" + std::to_string(partitions) +
                        " partitions)",
-                   0, do_register);
+                   0);
   return Status::OK();
 }
 
@@ -44,18 +23,11 @@ Result<std::string> RootSession::MapDataSet(const std::string& parent_id,
                                             TableMap map,
                                             const std::string& op_name) {
   std::string new_id = parent_id + "/" + op_name;
-  auto do_map = [this, parent_id, new_id, map, op_name]() -> Status {
-    for (const auto& worker : cluster_->workers()) {
-      HV_RETURN_IF_ERROR(worker->ApplyMap(parent_id, new_id, map, op_name));
-    }
-    return Status::OK();
-  };
-  HV_RETURN_IF_ERROR(do_map());
-  std::vector<int> per_worker = cluster_->Partitions(parent_id);
-  if (!per_worker.empty()) {
-    cluster_->RecordPartitions(new_id, std::move(per_worker));
+  cluster_->Record(new_id, {{}, parent_id, map, op_name});
+  for (const auto& worker : cluster_->workers()) {
+    HV_RETURN_IF_ERROR(worker->ApplyMap(parent_id, new_id, map, op_name));
   }
-  redo_log_.Append("map", parent_id + " -> " + new_id, 0, do_map);
+  redo_log_.Append("map", parent_id + " -> " + new_id, 0);
   return new_id;
 }
 
@@ -193,15 +165,15 @@ class RootSession::Query : public std::enable_shared_from_this<Query> {
 
   void OnAttemptDone(const Status& status) EXCLUDES(mutex_) {
     int failed_attempt = -1;
-    bool replay = false;
+    bool heal = false;
     {
       MutexLock lock(mutex_);
       if (IsTransient(status) && !degraded_pass_) {
-        // Every earlier retry was a replay: the degraded pass is the last.
+        // Every earlier retry was a heal: the degraded pass is the last.
         failed_attempt = stats_.replay_heals;
-        replay = status.code() == StatusCode::kUnavailable &&
-                 stats_.replay_heals < cluster_->options().max_replay_retries;
-        if (replay) {
+        heal = status.code() == StatusCode::kUnavailable &&
+               stats_.replay_heals < cluster_->options().max_replay_retries;
+        if (heal) {
           ++stats_.replay_heals;
         } else {
           degraded_pass_ = true;
@@ -212,14 +184,11 @@ class RootSession::Query : public std::enable_shared_from_this<Query> {
       Settle(status);
       return;
     }
-    if (replay) {
-      // Lazy replay (§5.7). A retriable replay failure (a worker died again
-      // mid-heal) already spent a slot of the budget: retry and heal again.
-      Status replayed = session_->redo_log_.ReplayAll();
-      if (!replayed.ok() && !IsTransient(replayed)) {
-        Settle(replayed);
-        return;
-      }
+    if (heal) {
+      // Lazy heal (§5.7): rebuild what the workers lost, on those workers
+      // only. One that dies again mid-heal fails the next attempt, which
+      // heals again while the budget lasts.
+      session_->redo_log_.RecordHeal(cluster_->Heal(dataset_id_));
     }
     if (session_->retry_hook_) session_->retry_hook_(failed_attempt, status);
     RunAttempt();

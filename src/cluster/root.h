@@ -17,12 +17,12 @@ namespace cluster {
 
 /// One tenant's handle on a shared Cluster (obtained via
 /// Cluster::OpenSession): the per-user slice of the root node. The session
-/// owns only genuinely per-user state — its redo log (the record of ITS
-/// exploration, replayed to heal soft-state loss, §5.7–5.8), its render
-/// generations, and its session id (threaded through SketchOptions into the
-/// SimulatedNetwork for per-tenant byte accounting). Workers, the health
-/// tracker, the shared ComputationCache and the fair scheduler live on the
-/// Cluster and are shared by all sessions.
+/// owns only genuinely per-user state — its redo log (the text record of
+/// ITS exploration, §5.7), its render generations, and its session id
+/// (threaded through SketchOptions into the SimulatedNetwork for per-tenant
+/// byte accounting). Workers, the health tracker, the shared
+/// ComputationCache, the fair scheduler and the lineage that heals lost
+/// datasets live on the Cluster and are shared by all sessions.
 ///
 /// Every query is a stream of partial results (§5.3); RunSketch is that
 /// stream's last value. One query object owns a stream's whole life:
@@ -36,13 +36,13 @@ namespace cluster {
 ///    deficit round robin. The query holds its one grant across all its
 ///    attempts until it settles, and is charged the bytes it moved.
 ///  - **Ladder.** Transport faults are retried only at the RPC edge
-///    (RemoteDataSet). Soft-state loss (kUnavailable) replays the redo log
-///    and starts a new attempt while the replay budget lasts; any other
-///    retriable failure, or a spent budget, gets exactly one degraded pass
-///    that merges over the survivors and reports the coverage instead of an
-///    error. While any breaker is open, every attempt is degraded from its
-///    start. A retried attempt's partials reach the caller only once they
-///    catch up with the progress already shown.
+///    (RemoteDataSet). Soft-state loss (kUnavailable) heals the queried id
+///    (Cluster::Heal) and starts a new attempt while the budget lasts; any
+///    other retriable failure, or a spent budget, gets exactly one degraded
+///    pass that merges over the survivors and reports the coverage instead
+///    of an error. While any breaker is open, every attempt is degraded from
+///    its start. A retried attempt's partials reach the caller only once
+///    they catch up with the progress already shown.
 ///
 /// Cancellation contract: BeginRender(view) starts a new render generation
 /// for a view and supersedes the previous one — the old generation's token
@@ -61,24 +61,28 @@ class RootSession : public std::enable_shared_from_this<RootSession> {
   /// RunSketch when the caller passes a stats out-param.
   struct QueryStats {
     double coverage = 1.0;    // partitions merged / total partitions
-    int replay_heals = 0;     // redo-log replays this query triggered
+    int replay_heals = 0;     // heals this query triggered
     bool degraded = false;    // coverage < 1.0
     bool from_cache = false;  // served from the shared computation cache
     bool coalesced = false;   // adopted another caller's in-flight result
   };
 
   /// Registers a base dataset: `partition_loaders[i]` produces micropartition
-  /// i, assigned to worker i % num_workers. Logged: replay re-registers the
-  /// same loaders ("the recursion ends when data is read from disk").
-  /// Dataset ids are cluster-global: sessions loading the same id share the
-  /// worker-side data and the shared cache's keyspace (by design — that is
-  /// what makes cross-session cache hits possible).
+  /// i, assigned to worker i % num_workers. Records the loaders as the id's
+  /// lineage, then heals it: a worker that lost it later re-registers its
+  /// own share ("the recursion ends when data is read from disk"), and one
+  /// that holds it keeps it. Dataset ids are cluster-global: sessions loading
+  /// the same id share the worker-side data and the shared cache's keyspace
+  /// (by design — that is what makes cross-session cache hits possible).
+  /// Logged.
   Status LoadDataSet(const std::string& dataset_id,
                      std::vector<LocalDataSet::Loader> partition_loaders);
 
   /// Derives `<parent>/<op_name>` on every worker by a deterministic
-  /// per-partition map (filtering / new columns, §5.6). Returns the derived
-  /// dataset id. Logged for replay.
+  /// per-partition map (filtering / new columns, §5.6) and records it as the
+  /// id's lineage, so a query of the id heals it after a restart. Returns
+  /// the derived dataset id, or Unavailable where a worker lost the parent:
+  /// the map itself does not heal. Logged.
   Result<std::string> MapDataSet(const std::string& parent_id, TableMap map,
                                  const std::string& op_name);
 
@@ -131,7 +135,7 @@ class RootSession : public std::enable_shared_from_this<RootSession> {
   /// Simulates a crash of worker `index` (drops all its soft state).
   void RestartWorker(int index) { cluster_->workers()[index]->Restart(); }
 
-  /// Hook fired just before each query re-run (after a replay heal, and
+  /// Hook fired just before each query re-run (after a heal, and
   /// before the degraded pass), with the 0-based attempt number that failed
   /// and its status, on whichever thread settled that attempt. Tests use it
   /// to crash workers *between* the attempts of one query.

@@ -3,7 +3,7 @@
 namespace hillview {
 namespace cluster {
 
-Status Worker::RegisterBase(
+void Worker::RegisterBase(
     const std::string& dataset_id,
     std::vector<std::shared_ptr<LocalDataSet>> partitions) {
   std::vector<DataSetPtr> children(partitions.begin(), partitions.end());
@@ -11,7 +11,6 @@ Status Worker::RegisterBase(
       name_ + "/" + dataset_id, std::move(children), &pool_, aggregation_);
   MutexLock lock(mutex_);
   datasets_[dataset_id] = std::move(dataset);
-  return Status::OK();
 }
 
 Status Worker::ApplyMap(const std::string& parent_id,

@@ -17,8 +17,8 @@ namespace cluster {
 /// One simulated worker server: hosts micropartition leaf datasets behind a
 /// private thread pool (its "cores"). Workers are stateless in the paper's
 /// sense (§5.8): everything they hold is soft state reconstructible from the
-/// root's redo log, and Restart() models a crash-restart by dropping all of
-/// it.
+/// root's lineage record (Cluster::Heal), and Restart() models a
+/// crash-restart by dropping all of it.
 class Worker {
  public:
   /// `aggregation` configures the worker's internal ParallelDataSet fan-out
@@ -59,15 +59,17 @@ class Worker {
 
   /// Registers the worker's share of a base (repository-backed) dataset.
   /// Partitions are micropartitions (§5.3); each becomes a leaf on this
-  /// worker's pool. Re-registering after a restart recreates the entry; the
-  /// underlying data reloads lazily from its loaders.
-  Status RegisterBase(const std::string& dataset_id,
-                      std::vector<std::shared_ptr<LocalDataSet>> partitions)
+  /// worker's pool, whose data loads lazily from its loader. Cluster::Heal
+  /// calls it only where the id is missing, so a live dataset is never
+  /// swapped.
+  void RegisterBase(const std::string& dataset_id,
+                    std::vector<std::shared_ptr<LocalDataSet>> partitions)
       EXCLUDES(mutex_);
 
-  /// Derives `new_id` from `parent_id` by a per-partition map (§5.6). The
-  /// result is lazy soft state. Fails with Unavailable if the parent is gone
-  /// (e.g. after a restart) — the caller replays the redo log.
+  /// Derives `new_id` from `parent_id` by a per-partition map (§5.6),
+  /// replacing any dataset under `new_id`. The result is lazy soft state.
+  /// Fails with Unavailable if the parent is gone (e.g. after a restart);
+  /// Cluster::Heal rebuilds the parent from its lineage first.
   Status ApplyMap(const std::string& parent_id, const std::string& new_id,
                   TableMap map, const std::string& op_name) EXCLUDES(mutex_);
 

@@ -12,7 +12,7 @@ namespace cluster {
 /// breaker with half-open probing. "Failure" here means unresponsiveness
 /// (a deadline despite the per-RPC retry budget) — an error *response* such
 /// as Unavailable proves the worker is alive and records success, since
-/// soft-state loss heals by replay and must not trip the circuit.
+/// soft-state loss heals from lineage and must not trip the circuit.
 /// While a worker's breaker is open the root
 /// fast-fails RPCs to it inside the execution tree, so a degraded merger can
 /// complete over the survivors instead of burning its whole deadline+retry

@@ -2,100 +2,54 @@
 #define HILLVIEW_CORE_REDO_LOG_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "util/status.h"
 #include "util/thread_annotations.h"
 
 namespace hillview {
 
-/// One logged root operation: enough to re-execute the query that produced a
-/// dataset or summary after a failure (§5.7–5.8). The seed makes randomized
-/// vizketches replay deterministically.
+/// One logged root operation. The seed makes randomized vizketches
+/// reproducible (§5.8).
 struct RedoLogEntry {
   int64_t index = 0;
-  std::string kind;         // "load", "map", "filter", "sketch", ...
+  std::string kind;         // "load", "map", "sketch"
   std::string description;  // operation parameters, human readable
   uint64_t seed = 0;
 };
 
-/// The root node's redo log — "the only persistent data structure maintained
-/// by Hillview" (§5.7). Entries carry a replay closure used for lazy replay:
-/// when a soft-state object turns out to be gone, the root re-executes the
-/// operations that produced it, recursing until data is re-read from the
-/// repository.
+/// One session's record of its exploration (§5.7): every load, map and
+/// query it ran, in order, with the heals its queries triggered. It holds
+/// text, not code: what rebuilds a lost dataset is the Cluster's lineage
+/// record, shared by every session (Cluster::Heal).
 ///
-/// Thread-safe: the entry and replayer vectors are guarded by one annotated
-/// mutex; Replay copies the closures out and runs them unlocked (replayers
-/// re-enter the root, which appends to this same log).
+/// Thread-safe: the entries and counters are guarded by one annotated mutex.
 class RedoLog {
  public:
-  using Replayer = std::function<Status()>;
-
-  /// Replay observability, read atomically under the lock (like the caches'
-  /// Snapshot): how often lazy healing ran, how much it re-executed, and how
-  /// often a replay itself failed mid-heal (e.g. a worker that died again
-  /// while being rebuilt — the root counts that against its retry budget and
-  /// loops instead of giving up).
+  /// Read atomically under the lock (like the caches' Snapshot); perfbench
+  /// reads these fields by name.
   struct Stats {
     int64_t entries = 0;
-    int64_t replays_started = 0;
-    int64_t replays_failed = 0;
-    int64_t entries_replayed = 0;
+    int64_t replays_started = 0;   // heals this session's queries ran
+    int64_t entries_replayed = 0;  // datasets those heals rebuilt
   };
 
   /// Appends an entry; returns its index.
-  int64_t Append(std::string kind, std::string description, uint64_t seed,
-                 Replayer replayer = nullptr) EXCLUDES(mutex_) {
+  int64_t Append(std::string kind, std::string description, uint64_t seed)
+      EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
-    RedoLogEntry entry;
-    entry.index = static_cast<int64_t>(entries_.size());
-    entry.kind = std::move(kind);
-    entry.description = std::move(description);
-    entry.seed = seed;
-    entries_.push_back(entry);
-    replayers_.push_back(std::move(replayer));
-    return entry.index;
+    const auto index = static_cast<int64_t>(entries_.size());
+    entries_.push_back({index, std::move(kind), std::move(description), seed});
+    return index;
   }
 
-  /// Lazily replays entries [first, last] in order, skipping entries without
-  /// replayers. Stops at the first failure.
-  Status Replay(int64_t first, int64_t last) EXCLUDES(mutex_) {
-    std::vector<Replayer> to_run;
-    {
-      MutexLock lock(mutex_);
-      ++replays_started_;
-      for (int64_t i = first; i <= last &&
-                              i < static_cast<int64_t>(replayers_.size());
-           ++i) {
-        if (i < 0) continue;
-        if (replayers_[i]) to_run.push_back(replayers_[i]);
-      }
-    }
-    // Closures run unlocked: replayers re-enter the root, which appends to
-    // this same log. Tallies are folded back in under the lock at the end.
-    int64_t executed = 0;
-    Status failure = Status::OK();
-    for (auto& r : to_run) {
-      Status s = r();
-      if (!s.ok()) {
-        failure = std::move(s);
-        break;
-      }
-      ++executed;
-    }
-    {
-      MutexLock lock(mutex_);
-      entries_replayed_ += executed;
-      if (!failure.ok()) ++replays_failed_;
-    }
-    return failure;
+  /// Counts one heal that rebuilt `rebuilt` datasets.
+  void RecordHeal(int64_t rebuilt) EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    ++replays_started_;
+    entries_replayed_ += rebuilt;
   }
-
-  Status ReplayAll() { return Replay(0, Size() - 1); }
 
   int64_t Size() const EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
@@ -111,19 +65,17 @@ class RedoLog {
   /// the persisted form.
   std::string ToText() const EXCLUDES(mutex_);
 
-  /// All replay counters plus the entry count, read atomically.
+  /// The heal counters plus the entry count, read atomically.
   Stats Snapshot() const EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     return Stats{static_cast<int64_t>(entries_.size()), replays_started_,
-                 replays_failed_, entries_replayed_};
+                 entries_replayed_};
   }
 
  private:
   mutable Mutex mutex_;
   std::vector<RedoLogEntry> entries_ GUARDED_BY(mutex_);
-  std::vector<Replayer> replayers_ GUARDED_BY(mutex_);
   int64_t replays_started_ GUARDED_BY(mutex_) = 0;
-  int64_t replays_failed_ GUARDED_BY(mutex_) = 0;
   int64_t entries_replayed_ GUARDED_BY(mutex_) = 0;
 };
 

@@ -19,20 +19,22 @@ class NumericBuckets {
  public:
   NumericBuckets() = default;
   NumericBuckets(double min, double max, int count)
-      : min_(min), max_(max), count_(std::max(1, count)) {
-    width_ = (max_ - min_) / count_;
-  }
+      : min_(min),
+        max_(max),
+        count_(std::max(1, count)),
+        width_((max_ - min_) / count_),
+        scale_(max_ > min_ ? count_ / (max_ - min_) : 0.0) {}
 
+  /// The histogram kernels' rule (scan_kernels.inc), so every sketch puts a
+  /// value in the same bucket: one multiply by scale(), truncated, with the
+  /// top-bucket fixup.
   int IndexOf(double v) const {
     // NaN compares false against both bounds, so without this check it would
     // reach the cast below with an undefined result; the scan layer treats
     // NaN as missing before bucketing, this guards every other caller.
     if (std::isnan(v)) return -1;
     if (v < min_ || v > max_) return -1;
-    if (v == max_) return count_ - 1;
-    int idx = static_cast<int>((v - min_) / width_);
-    // Guard against floating point edge effects at the top boundary.
-    return std::min(idx, count_ - 1);
+    return std::min(static_cast<int>((v - min_) * scale_), count_ - 1);
   }
 
   double LowBoundary(int bucket) const { return min_ + width_ * bucket; }
@@ -41,6 +43,8 @@ class NumericBuckets {
   double min() const { return min_; }
   double max() const { return max_; }
   int count() const { return count_; }
+  /// Buckets per unit of value; 0 for a degenerate [min, min] range.
+  double scale() const { return scale_; }
 
   void Serialize(ByteWriter* w) const {
     w->WriteDouble(min_);
@@ -62,6 +66,7 @@ class NumericBuckets {
   double max_ = 1;
   int count_ = 1;
   double width_ = 1;
+  double scale_ = 1;
 };
 
 /// Buckets over strings in alphabetical order (§B.1 "equi-width buckets for

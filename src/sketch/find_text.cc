@@ -165,7 +165,7 @@ FindResult FindTextSketch::Summarize(const Table& table, uint64_t seed,
   for (size_t i = 0; i < cols.size(); ++i) {
     const auto& dict = cols[i]->Dictionary();
     // Only ask the provider for the pool when the dictionary is big enough
-    // to chunk: the provider creates the pool's threads on first use.
+    // to chunk; a smaller one matches inline on the calling thread.
     ThreadPool* pool = dict.size() >= kParallelDictionaryThreshold &&
                                context.aux_pool
                            ? context.aux_pool()

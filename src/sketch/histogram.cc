@@ -66,7 +66,7 @@ namespace {
 struct NumericTally {
   double min;
   double max;
-  double scale;  // buckets / width, 0 for degenerate [min, min] ranges
+  double scale;  // NumericBuckets::scale()
   int count;
   std::vector<int64_t> slots;  // [0, count) buckets, [count] out-of-range,
                                // [count + 1] NaN-missing (block path only)
@@ -76,9 +76,7 @@ struct NumericTally {
   explicit NumericTally(const NumericBuckets& buckets)
       : min(buckets.min()),
         max(buckets.max()),
-        scale(buckets.max() > buckets.min()
-                  ? buckets.count() / (buckets.max() - buckets.min())
-                  : 0.0),
+        scale(buckets.scale()),
         count(buckets.count()),
         slots(static_cast<size_t>(buckets.count()) + 2, 0),
         slot(slots.data()) {}

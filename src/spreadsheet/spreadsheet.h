@@ -31,7 +31,7 @@ namespace hillview {
 /// vizketch with display-derived parameters (§5.3).
 ///
 /// Derived views (Filter*, WithColumn) return new Spreadsheet objects whose
-/// data is lazy soft state on the workers, reconstructible via the redo log.
+/// data is lazy soft state on the workers, reconstructible from its lineage.
 class Spreadsheet {
  public:
   Spreadsheet(cluster::RootSession* session, std::string dataset_id,

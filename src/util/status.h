@@ -17,7 +17,7 @@ enum class StatusCode {
   kOutOfRange,
   kCancelled,
   kFailedPrecondition,
-  kUnavailable,   // soft state evicted / worker dead; caller should replay
+  kUnavailable,   // soft state evicted / worker dead; caller should heal
   kDeadlineExceeded,  // RPC produced no (complete) response in time; the
                       // operation is idempotent, so the caller may retry
   kInternal,
@@ -76,10 +76,10 @@ class Status {
   std::string message_;
 };
 
-/// A fault a query can outlive: lost soft state (kUnavailable, healed by
-/// redo-log replay) or a transport/deadline miss the RPC edge could not heal
-/// (kDeadlineExceeded). The root heals or degrades a query on these, and a
-/// degraded merge drops the child that reported one. Anything else —
+/// A fault a query can outlive: lost soft state (kUnavailable, healed from
+/// the dataset's lineage) or a transport/deadline miss the RPC edge could
+/// not heal (kDeadlineExceeded). The root heals or degrades a query on these,
+/// and a degraded merge drops the child that reported one. Anything else —
 /// Cancelled included — is final.
 inline bool IsTransient(const Status& s) {
   return s.code() == StatusCode::kUnavailable ||

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "cluster/root.h"
 #include "sketch/find_text.h"
 #include "sketch/histogram.h"
@@ -110,8 +112,8 @@ TEST(Cluster, WorkerRestartHealsViaRedoLogReplay) {
   tc->root->RestartWorker(1);
   EXPECT_EQ(tc->workers[1]->restart_count(), 1);
 
-  // The query heals transparently: RunSketch replays the redo log (load +
-  // map) and retries.
+  // The query heals transparently: RunSketch rebuilds the base and the map
+  // on worker 1 from their lineage and retries.
   auto after = tc->root->RunSketch<CountResult>(
       derived.value(), std::make_shared<CountSketch>());
   ASSERT_TRUE(after.ok()) << after.status().ToString();
@@ -119,7 +121,7 @@ TEST(Cluster, WorkerRestartHealsViaRedoLogReplay) {
   EXPECT_GE(tc->root->redo_log().Size(), 2);
 
   // A stream issued right after a crash heals the same way: it is the same
-  // query, so it replays and restarts instead of failing Unavailable.
+  // query, so it heals and restarts instead of failing Unavailable.
   const int64_t replays = tc->root->redo_log().Snapshot().replays_started;
   tc->root->RestartWorker(2);
   auto stream = tc->root->RunSketchStream<CountResult>(
@@ -132,6 +134,176 @@ TEST(Cluster, WorkerRestartHealsViaRedoLogReplay) {
   EXPECT_EQ(last->coverage, 1.0);
   EXPECT_EQ(last->value.rows, before.value().rows);
   EXPECT_EQ(tc->root->redo_log().Snapshot().replays_started, replays + 1);
+}
+
+/// Loaders that build a fresh table on every call, as a repository read
+/// does, and count the calls: only running them rebuilds lost data.
+std::vector<LocalDataSet::Loader> CountingLoaders(
+    const std::vector<std::vector<double>>& chunks,
+    const std::shared_ptr<std::atomic<int>>& runs) {
+  std::vector<LocalDataSet::Loader> loaders;
+  for (const auto& chunk : chunks) {
+    loaders.push_back([chunk, runs]() -> Result<TablePtr> {
+      runs->fetch_add(1);
+      return MakeDoubleTable("x", chunk);
+    });
+  }
+  return loaders;
+}
+
+// Dataset ids and their lineage are cluster-global: a session that never
+// loaded the dataset heals it after a restart like the one that did, and
+// loading an id that is already live leaves it in place.
+TEST(Cluster, RestartHealsForASessionThatDidNotLoad) {
+  auto values = UniformDoubles(8000, 0, 1, 96);
+  std::vector<TablePtr> partitions;
+  for (const auto& chunk : SplitValues(values, 4)) {
+    partitions.push_back(MakeDoubleTable("x", chunk));
+  }
+  auto tc = TestCluster::Create(partitions, /*workers=*/2, /*threads=*/2);
+  ASSERT_NE(tc, nullptr);
+  auto other = tc->cluster->OpenSession();
+
+  tc->root->RestartWorker(1);
+  RootSession::QueryStats stats;
+  auto count = other->RunSketch<CountResult>(
+      "data", std::make_shared<CountSketch>(), /*seed=*/0,
+      /*cacheable=*/false, &stats);
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count.value().rows, 8000);
+  EXPECT_EQ(stats.coverage, 1.0);
+  EXPECT_FALSE(stats.degraded);
+  EXPECT_EQ(stats.replay_heals, 1);
+  EXPECT_EQ(other->redo_log().Snapshot().entries_replayed, 1);
+
+  const DataSetPtr live = tc->workers[0]->GetDataSet("data").value();
+  std::vector<LocalDataSet::Loader> loaders;
+  for (const auto& table : partitions) {
+    loaders.push_back([table]() -> Result<TablePtr> { return table; });
+  }
+  ASSERT_TRUE(tc->cluster->OpenSession()->LoadDataSet("data", loaders).ok());
+  EXPECT_EQ(tc->workers[0]->GetDataSet("data").value(), live);
+}
+
+// A heal rebuilds only what the restarted worker lost: it runs that
+// worker's loaders alone, and the healthy worker keeps its tables and the
+// sort keys built over them, so its repeat sort is a hit.
+TEST(Cluster, RestartHealRunsOnlyTheRestartedWorkersLoaders) {
+  auto runs = std::make_shared<std::atomic<int>>(0);
+  auto tc = TestCluster::Create({}, /*workers=*/2, /*threads=*/2);
+  ASSERT_NE(tc, nullptr);
+  auto chunks = SplitValues(UniformDoubles(20000, 0, 100, 97), 4);
+  ASSERT_TRUE(
+      tc->root->LoadDataSet("counted", CountingLoaders(chunks, runs)).ok());
+  auto scroll = std::make_shared<NextItemsSketch>(
+      RecordOrder({{"x", true}}), std::vector<std::string>{},
+      std::optional<std::vector<Value>>{{Value(50.0)}}, 20);
+  auto before = tc->root->RunSketch<NextItemsResult>("counted", scroll);
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(runs->load(), 4);
+  const SortKeyCache::Stats healthy = tc->workers[0]->key_cache()->Snapshot();
+  EXPECT_EQ(healthy.misses, 2);
+
+  tc->root->RestartWorker(1);
+  auto after = tc->root->RunSketch<NextItemsResult>("counted", scroll);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(runs->load(), 6);  // worker 1's two partitions, not all four
+  const SortKeyCache::Stats kept = tc->workers[0]->key_cache()->Snapshot();
+  EXPECT_EQ(kept.misses, healthy.misses);
+  EXPECT_GE(kept.hits, healthy.hits + 2);
+  EXPECT_EQ(kept.evictions, 0);
+  ASSERT_EQ(after.value().rows.size(), before.value().rows.size());
+  for (size_t i = 0; i < before.value().rows.size(); ++i) {
+    EXPECT_EQ(after.value().rows[i].values, before.value().rows[i].values);
+  }
+  EXPECT_EQ(after.value().rows_before, before.value().rows_before);
+}
+
+// The lineage of a base id is its loaders alone: a heal of the base after
+// any number of maps derived from it rebuilds one dataset, not every map
+// the session ever ran.
+TEST(Cluster, HealOfABaseRebuildsOnlyTheBase) {
+  auto values = UniformDoubles(8000, 0, 1, 98);
+  std::vector<TablePtr> partitions;
+  for (const auto& chunk : SplitValues(values, 4)) {
+    partitions.push_back(MakeDoubleTable("x", chunk));
+  }
+  auto tc = TestCluster::Create(partitions, /*workers=*/2, /*threads=*/2);
+  ASSERT_NE(tc, nullptr);
+  constexpr int kMaps = 3;
+  for (int i = 0; i < kMaps; ++i) {
+    const double cut = (i + 1) / 4.0;
+    auto derived = tc->root->MapDataSet(
+        "data",
+        [cut](const TablePtr& t) -> Result<TablePtr> {
+          return t->Filter([t, cut](uint32_t r) {
+            return t->column(0)->GetDouble(r) < cut;
+          });
+        },
+        "below" + std::to_string(i));
+    ASSERT_TRUE(derived.ok());
+  }
+
+  tc->root->RestartWorker(1);
+  RootSession::QueryStats stats;
+  auto count = tc->root->RunSketch<CountResult>(
+      "data", std::make_shared<CountSketch>(), /*seed=*/0,
+      /*cacheable=*/false, &stats);
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count.value().rows, 8000);
+  EXPECT_EQ(stats.replay_heals, 1);
+  EXPECT_EQ(tc->root->redo_log().Snapshot().entries_replayed, 1);
+}
+
+// A query of a derived id two maps deep after a restart rebuilds the base
+// and both maps on the restarted worker only: the healthy workers keep the
+// very datasets they held, and the answer is byte-identical.
+TEST(Cluster, DerivedIdTwoLevelsDeepHealsOnTheRestartedWorkerOnly) {
+  auto runs = std::make_shared<std::atomic<int>>(0);
+  auto tc = TestCluster::Create({}, /*workers=*/3, /*threads=*/2);
+  ASSERT_NE(tc, nullptr);
+  auto chunks = SplitValues(UniformDoubles(12000, 0, 100, 99), 6);
+  ASSERT_TRUE(
+      tc->root->LoadDataSet("counted", CountingLoaders(chunks, runs)).ok());
+  auto range = [](double lo, double hi) -> TableMap {
+    return [lo, hi](const TablePtr& t) -> Result<TablePtr> {
+      return t->Filter([t, lo, hi](uint32_t r) {
+        const double x = t->column(0)->GetDouble(r);
+        return x >= lo && x < hi;
+      });
+    };
+  };
+  auto upper = tc->root->MapDataSet("counted", range(25, 100), "upper");
+  ASSERT_TRUE(upper.ok());
+  auto middle = tc->root->MapDataSet(upper.value(), range(0, 75), "middle");
+  ASSERT_TRUE(middle.ok());
+
+  auto sketch = std::make_shared<StreamingHistogramSketch>(
+      "x", Buckets(NumericBuckets(0, 100, 20)));
+  auto bytes_of = [&](const HistogramResult& r) {
+    return AnySketch::Wrap<HistogramResult>(sketch).Serialize(
+        AnySummary::Wrap<HistogramResult>(r));
+  };
+  auto reference =
+      tc->root->RunSketch<HistogramResult>(middle.value(), sketch);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(runs->load(), 6);
+  std::vector<DataSetPtr> held;
+  for (int w : {0, 2}) {
+    held.push_back(tc->workers[w]->GetDataSet(middle.value()).value());
+  }
+
+  tc->root->RestartWorker(1);
+  RootSession::QueryStats stats;
+  auto healed = tc->root->RunSketch<HistogramResult>(
+      middle.value(), sketch, /*seed=*/0, /*cacheable=*/false, &stats);
+  ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+  EXPECT_EQ(stats.coverage, 1.0);
+  EXPECT_EQ(bytes_of(healed.value()), bytes_of(reference.value()));
+  EXPECT_EQ(runs->load(), 8);  // worker 1's two of six partitions
+  EXPECT_EQ(tc->root->redo_log().Snapshot().entries_replayed, 3);
+  EXPECT_EQ(tc->workers[0]->GetDataSet(middle.value()).value(), held[0]);
+  EXPECT_EQ(tc->workers[2]->GetDataSet(middle.value()).value(), held[1]);
 }
 
 // A progressive stream whose first attempt fails after showing partials
@@ -201,7 +373,7 @@ TEST(Cluster, FailedRemoteMapSurfacesOnFirstUseAndHeals) {
   ASSERT_FALSE(broken.ok());
   EXPECT_EQ(broken.status().code(), StatusCode::kUnavailable);
 
-  // The root-session path heals the lost base data via redo-log replay.
+  // The root-session path heals the lost base data from its lineage.
   auto count = tc->root->RunSketch<CountResult>(
       "data", std::make_shared<CountSketch>());
   ASSERT_TRUE(count.ok()) << count.status().ToString();
@@ -210,8 +382,8 @@ TEST(Cluster, FailedRemoteMapSurfacesOnFirstUseAndHeals) {
 
 // Satellite of the fault-injection PR: a repeated-crash ladder. A *different*
 // worker is restarted between every retry attempt of one query, so each
-// attempt fails on freshly lost soft state and each heal has to replay the
-// redo log again. The query must still converge, with full coverage and a
+// attempt fails on freshly lost soft state and each heal has to rebuild
+// again. The query must still converge, with full coverage and a
 // final summary byte-identical to the fault-free run — the §5.8 determinism
 // contract under serial crashes, not just a single one.
 TEST(Cluster, RepeatedCrashLadderHealsByteIdentical) {
@@ -236,7 +408,7 @@ TEST(Cluster, RepeatedCrashLadderHealsByteIdentical) {
   ASSERT_TRUE(reference.ok());
 
   // The hook fires after each heal, just before the next attempt: restarting
-  // there re-damages the freshly replayed state, so the next attempt fails
+  // there re-damages the freshly healed state, so the next attempt fails
   // again on a different machine. Four rungs, rotating across all workers.
   int restarts = 0;
   tc->root->set_retry_hook([&](int /*attempt*/, const Status&) {

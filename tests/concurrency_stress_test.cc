@@ -238,9 +238,9 @@ TEST(ConcurrencyStress, ParallelDataSetProgressiveStreaming) {
 /// Paces worker crashes against the queries they race. A restart may land
 /// only once every querier has finished a query that began after the
 /// previous restart, so no query spans more than one crash — which a single
-/// redo-log replay heals, well inside the default replay budget — however
-/// the threads are scheduled. Unpaced, crashes outrun replay on many cores
-/// and barely land at all on one.
+/// heal mends, well inside the default retry budget — however the threads
+/// are scheduled. Unpaced, crashes outrun heals on many cores and barely
+/// land at all on one.
 class CrashPacer {
  public:
   explicit CrashPacer(int queriers)
@@ -336,7 +336,7 @@ int64_t RaceQueriesAgainstCrashes(
 
 // Worker soft-state teardown racing in-flight queries: EvictCaches() and
 // Restart() fire while sorted-scroll sketches stream through the workers'
-// sort-key caches. Results must stay correct (the redo log heals restarts)
+// sort-key caches. Results must stay correct (lineage heals restarts)
 // and the cache's generation check must keep evicted state from resurfacing.
 TEST(ConcurrencyStress, WorkerEvictCachesRacingSummarize) {
   const int rounds = 4 * StressIters();
@@ -360,7 +360,7 @@ TEST(ConcurrencyStress, WorkerEvictCachesRacingSummarize) {
                                                          scroll_at(50.0));
     ASSERT_TRUE(expected.ok());
 
-    // Crashes drop datasets (the redo log heals them on demand); evictions
+    // Crashes drop datasets (lineage heals them on demand); evictions
     // drop tables and key caches.
     const int64_t restarts =
         RaceQueriesAgainstCrashes(tc->workers, [&](int q, int iter) {

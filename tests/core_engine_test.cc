@@ -286,35 +286,22 @@ TEST(ComputationCache, TypedRoundTrip) {
   EXPECT_EQ(hit->As<HistogramResult>().counts, r.counts);
 }
 
-TEST(RedoLog, AppendsAndReplays) {
+TEST(RedoLog, AppendsEntriesAndRendersText) {
   RedoLog log;
-  std::atomic<int> replays{0};
-  log.Append("load", "data", 0, [&replays] {
-    replays.fetch_add(1);
-    return Status::OK();
-  });
-  log.Append("sketch", "data#hist", 42);  // no replayer
+  EXPECT_EQ(log.Append("load", "data (2 partitions)", 0), 0);
+  EXPECT_EQ(log.Append("sketch", "data#hist", 42), 1);
   EXPECT_EQ(log.Size(), 2);
-  ASSERT_TRUE(log.ReplayAll().ok());
-  EXPECT_EQ(replays.load(), 1);
   auto entries = log.Entries();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].index, 0);
+  EXPECT_EQ(entries[0].kind, "load");
+  EXPECT_EQ(entries[1].index, 1);
+  EXPECT_EQ(entries[1].kind, "sketch");
+  EXPECT_EQ(entries[1].description, "data#hist");
   EXPECT_EQ(entries[1].seed, 42u);
-  EXPECT_NE(log.ToText().find("data#hist"), std::string::npos);
-}
-
-TEST(RedoLog, ReplayStopsOnFailure) {
-  RedoLog log;
-  std::atomic<int> runs{0};
-  log.Append("a", "", 0, [&runs] {
-    runs.fetch_add(1);
-    return Status::IoError("boom");
-  });
-  log.Append("b", "", 0, [&runs] {
-    runs.fetch_add(1);
-    return Status::OK();
-  });
-  EXPECT_FALSE(log.ReplayAll().ok());
-  EXPECT_EQ(runs.load(), 1);
+  EXPECT_EQ(log.ToText(),
+            "0 load seed=0 data (2 partitions)\n1 sketch seed=42 data#hist\n");
+  EXPECT_EQ(log.Snapshot().entries, 2);
 }
 
 TEST(AnySketchTest, SerializeDeserializeRoundTrip) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "sketch/histogram.h"
 #include "sketch/histogram2d.h"
 #include "test_util.h"
 #include "util/serialize.h"
@@ -63,6 +64,25 @@ TEST(Histogram2D, MissingXIgnoresY) {
   Histogram2DResult r = sketch.Summarize(*t, 0);
   EXPECT_EQ(r.missing_x, 1);
   EXPECT_EQ(r.x_counts[0], 0);
+}
+
+// Heat maps, stacked histograms and trellis plots bucket rows through
+// NumericBuckets::IndexOf, the 1D histogram through the scan kernels. Both
+// must put every value in the same bucket, or a stacked histogram's bars
+// differ from the histogram of the same column and buckets.
+TEST(Histogram2D, XCountsMatchTheOneDimensionalHistogram) {
+  std::vector<double> xs;
+  for (int v = 0; v < 2360; ++v) xs.push_back(v);
+  TablePtr t = MakeXyTable(xs, std::vector<double>(xs.size(), 0.0));
+  const Buckets y(NumericBuckets(0, 1, 1));
+  for (int count = 1; count <= 400; ++count) {
+    const Buckets x(NumericBuckets(0, 2359, count));
+    Histogram2DResult joint = Histogram2DSketch("x", x, "y", y).Summarize(*t, 0);
+    HistogramResult flat = StreamingHistogramSketch("x", x).Summarize(*t, 0);
+    ASSERT_EQ(joint.x_counts, flat.counts) << count << " buckets";
+  }
+  // 1011 * 35 / 2359 is exactly 15; dividing by the width gave 14.
+  EXPECT_EQ(NumericBuckets(0, 2359, 35).IndexOf(1011), 15);
 }
 
 class Histogram2DMergeTest : public ::testing::TestWithParam<int> {};

@@ -730,8 +730,8 @@ TEST(SketchPropertyStatistical, SampledQuantileMergesWithinRankBound) {
 
     // The wire fold replays the in-order merge tree; seeds and error
     // ledgers round-trip, so the compaction coins are identical and the
-    // result must be *exactly* the in-order merge — this is what lets the
-    // redo log heal a crashed tree deterministically.
+    // result must be *exactly* the in-order merge — this is what lets a
+    // heal re-run a crashed tree deterministically.
     QuantileResult wire = sketch.Zero();
     for (const auto& p : partials) {
       ByteWriter w;
@@ -856,7 +856,7 @@ TEST(SketchProperty, CorrelationDistributes) {
 // Cluster-path properties: the distribution law must hold end to end through
 // the simulated cluster — random worker counts and partition splits, a
 // worker restart landing mid-stream (i.e. between the workers' sort-key
-// cache fill and its reuse), and redo-log healing must all reproduce the
+// cache fill and its reuse), and lineage healing must all reproduce the
 // 1-partition result. Deterministic sketch families compare exactly;
 // sampled/compacting ones pass a statistical `eq` (the KS-style rank bound
 // above) and scale `rows_base`/`rows_spread` up so the bound is meaningful.
@@ -963,11 +963,11 @@ TEST(SketchPropertyCluster, QuantileMatchesSinglePartitionAcrossRestarts) {
 }
 
 TEST(SketchPropertyCluster, SampledQuantileHealsWithinRankBound) {
-  // The crash/redo-heal path for a *compacting, sampled* quantile summary:
+  // The crash/heal path for a *compacting, sampled* quantile summary:
   // cluster partials sample under engine-mixed seeds and the merge tree over
   // the wire is whatever order partials arrive in, so the reference
   // comparison is the statistical rank bound, not exact equality. The
-  // restart mid-stream then exercises redo-log healing with randomized
+  // restart mid-stream then exercises lineage healing with randomized
   // compaction in play.
   auto order_holder = std::make_shared<RecordOrder>();
   RunClusterProperty<QuantileResult>(
@@ -1002,7 +1002,7 @@ TEST(SketchPropertyCluster, HistogramMatchesSinglePartitionAcrossRestarts) {
 // declares MorselMergeExact(), fanning one partition across a pool in
 // cache-sized morsels must produce a summary whose *serialized bytes* equal
 // the single-thread Summarize — not just semantically equal. Cache keys and
-// the redo log assume summaries are a pure function of (sketch, table,
+// healed re-runs assume summaries are a pure function of (sketch, table,
 // seed); intra-worker parallelism must be invisible to both.
 
 template <typename R>

@@ -334,7 +334,7 @@ TEST_F(SpreadsheetTest, LastQueryStatsSeesSharedCacheHit) {
 TEST_F(SpreadsheetTest, SurvivesWorkerRestart) {
   session_->RestartWorker(2);
   // A sampled histogram is never served from the computation cache, so this
-  // forces the Unavailable -> redo-log replay -> retry path.
+  // forces the Unavailable -> heal -> retry path.
   auto hist = sheet_->Histogram("Distance");
   ASSERT_TRUE(hist.ok()) << hist.status().ToString();
   EXPECT_GT(hist.value().TotalCount(), 0);

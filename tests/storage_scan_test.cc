@@ -697,17 +697,18 @@ TEST(SortKey, StartCellThresholdPartitionsRows) {
       // from the data (for strings, one lexicographically between codes).
       std::vector<Value> candidates;
       for (uint32_t r = 0; r < kRows; r += 17) {
-        candidates.push_back(table->GetRow(r, {"k"})[0]);
+        const Value cell = table->GetRow(r, {"k"})[0];
+        candidates.push_back(cell);
       }
-      candidates.push_back(Value(std::monostate{}));
+      candidates.emplace_back(std::monostate{});
       if (IsStringKind(kind)) {
-        candidates.push_back(Value(std::string("v2a")));  // between v2/v20
+        candidates.emplace_back(std::string("v2a"));  // between v2/v20
       } else if (kind == DataKind::kInt) {
-        candidates.push_back(Value(static_cast<int64_t>(7)));
+        candidates.emplace_back(static_cast<int64_t>(7));
       } else if (kind == DataKind::kDouble) {
-        candidates.push_back(Value(1234.5));
+        candidates.emplace_back(1234.5);
       } else {
-        candidates.push_back(Value(static_cast<int64_t>(123)));
+        candidates.emplace_back(static_cast<int64_t>(123));
       }
       for (const Value& v : candidates) {
         auto enc = plan.EncodeStartCell(v);
