@@ -2,7 +2,9 @@
 // half of every cold-start measurement (Fig 5 loads data from files before
 // the first chart can render). Reports MB/s and rows/s for plain-ASCII
 // input and for escape-heavy JSONL (quotes, newlines, \uXXXX including
-// surrogate pairs), which stresses the per-character unescape loop.
+// surrogate pairs), which stresses the per-character unescape loop. Each
+// format also prints `METRIC <format>_mb_per_s` and `<format>_rows_per_s`
+// lines, which bench/run_benches.sh lifts into the result's metrics.
 
 #include <algorithm>
 #include <cstdio>
@@ -47,8 +49,9 @@ std::string MakeJsonlCorpus(uint32_t rows, bool escape_heavy) {
   return text;
 }
 
-void Measure(const std::string& name, const std::string& corpus,
-             uint32_t rows,
+/// `key` names the format in the METRIC lines.
+void Measure(const std::string& name, const std::string& key,
+             const std::string& corpus, uint32_t rows,
              Result<TablePtr> (*parse)(const std::string&)) {
   // Median of 5 runs.
   std::vector<double> times;
@@ -67,13 +70,17 @@ void Measure(const std::string& name, const std::string& corpus,
   std::sort(times.begin(), times.end());
   double ms = times[2];
   double mb = static_cast<double>(corpus.size()) / 1e6;
+  const double mb_per_s = mb / (ms / 1e3);
+  const double rows_per_s = static_cast<double>(parsed_rows) / (ms / 1e3);
   std::printf("%-24s %10.1f MB %10.2f ms %10.1f MB/s %12.0f rows/s\n",
-              name.c_str(), mb, ms, mb / (ms / 1e3),
-              static_cast<double>(parsed_rows) / (ms / 1e3));
+              name.c_str(), mb, ms, mb_per_s, rows_per_s);
   if (parsed_rows != rows) {
     std::printf("  (!) expected %u rows, parsed %llu\n", rows,
                 static_cast<unsigned long long>(parsed_rows));
+    return;
   }
+  std::printf("METRIC %s_mb_per_s %.1f\n", key.c_str(), mb_per_s);
+  std::printf("METRIC %s_rows_per_s %.0f\n", key.c_str(), rows_per_s);
 }
 
 Result<TablePtr> ParseCsv(const std::string& text) {
@@ -89,10 +96,11 @@ void Run() {
   bench::PrintHeader("Ingestion throughput (cold-start parse path)");
   std::printf("%-24s %13s %13s %15s %13s\n", "format", "input", "median",
               "throughput", "rows");
-  Measure("csv", MakeCsvCorpus(rows), rows, &ParseCsv);
-  Measure("jsonl ascii", MakeJsonlCorpus(rows, false), rows, &ParseJsonl);
-  Measure("jsonl escape-heavy", MakeJsonlCorpus(rows, true), rows,
+  Measure("csv", "csv", MakeCsvCorpus(rows), rows, &ParseCsv);
+  Measure("jsonl ascii", "jsonl_ascii", MakeJsonlCorpus(rows, false), rows,
           &ParseJsonl);
+  Measure("jsonl escape-heavy", "jsonl_escape_heavy",
+          MakeJsonlCorpus(rows, true), rows, &ParseJsonl);
   std::printf(
       "\nExpected shape: escape-heavy JSONL pays for the per-character\n"
       "unescape loop (incl. UTF-8 encoding of \\u escapes) but stays within\n"

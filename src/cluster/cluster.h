@@ -100,6 +100,13 @@ class Cluster {
   /// Sessions opened so far (session ids are 0..n-1).
   int sessions_opened() const { return next_session_id_.load(); }
 
+  /// A number no earlier call returned. An op name that cannot describe
+  /// its map (an arbitrary function) carries one, so two such maps of one
+  /// parent derive distinct dataset ids, cache keys and lineage records.
+  uint64_t NextOpSerial() {
+    return next_op_serial_.fetch_add(1, std::memory_order_relaxed);
+  }
+
   /// How to rebuild one dataset id: a base id's partition loaders (loader
   /// p on worker p % num_workers), or a derived id's parent and map.
   struct Lineage {
@@ -138,6 +145,7 @@ class Cluster {
   ComputationCache shared_cache_;
   QueryScheduler scheduler_;
   std::atomic<int> next_session_id_{0};
+  std::atomic<uint64_t> next_op_serial_{0};
   /// Held across a heal, so concurrent heals of one id rebuild it once.
   mutable Mutex mutex_;
   std::unordered_map<std::string, Lineage> lineage_ GUARDED_BY(mutex_);

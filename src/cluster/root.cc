@@ -32,11 +32,13 @@ Result<std::string> RootSession::MapDataSet(const std::string& parent_id,
 }
 
 SketchOptions RootSession::QueryOptions(uint64_t seed,
-                                        CancellationTokenPtr token) const {
+                                        CancellationTokenPtr token,
+                                        bool partials) const {
   SketchOptions options;
   options.seed = seed;
   options.rpc = cluster_->options().rpc;
   options.cancellation = std::move(token);
+  options.partials = partials;
   options.session_id = session_id_;
   return options;
 }
@@ -89,15 +91,17 @@ int RootSession::render_generation(const std::string& view_id) const {
 class RootSession::Query : public std::enable_shared_from_this<Query> {
  public:
   /// `flight_key` is the shared-cache flight this query owns, or empty.
+  /// `partials` is whether the caller reads the stream's partial results.
   Query(std::shared_ptr<RootSession> session, std::string dataset_id,
         AnySketch sketch, uint64_t seed, CancellationTokenPtr token,
-        std::string flight_key)
+        std::string flight_key, bool partials)
       : session_(std::move(session)),
         cluster_(session_->cluster_),
         dataset_id_(std::move(dataset_id)),
         sketch_(std::move(sketch)),
         seed_(seed),
         token_(std::move(token)),
+        partials_(partials),
         flight_key_(std::move(flight_key)) {}
 
   /// Runs on the caller's thread, which admission may block; returns once
@@ -143,9 +147,10 @@ class RootSession::Query : public std::enable_shared_from_this<Query> {
       last_.reset();
       tolerant = degraded_pass_ || cluster_->health().AnyOpen();
     }
-    auto attempt = session_->GetRootDataSet(dataset_id_, tolerant)
-                       ->RunSketch(sketch_, session_->QueryOptions(seed_,
-                                                                   token_));
+    auto attempt =
+        session_->GetRootDataSet(dataset_id_, tolerant)
+            ->RunSketch(sketch_,
+                        session_->QueryOptions(seed_, token_, partials_));
     auto self = shared_from_this();
     attempt->Subscribe(
         [self](const PartialResult<AnySummary>& p) { self->OnPartial(p); },
@@ -239,6 +244,7 @@ class RootSession::Query : public std::enable_shared_from_this<Query> {
   const AnySketch sketch_;
   const uint64_t seed_;
   const CancellationTokenPtr token_;
+  const bool partials_;
   const StreamPtr<PartialResult<AnySummary>> out_ =
       std::make_shared<Stream<PartialResult<AnySummary>>>();
 
@@ -282,7 +288,8 @@ Result<AnySummary> RootSession::RunErased(const std::string& dataset_id,
   }
   auto query = std::make_shared<Query>(shared_from_this(), dataset_id,
                                        std::move(sketch), seed, token,
-                                       std::move(flight_key));
+                                       std::move(flight_key),
+                                       /*partials=*/false);
   query->Start();
   std::optional<PartialResult<AnySummary>> last =
       query->stream()->BlockingLast(token);
@@ -301,7 +308,8 @@ StreamPtr<PartialResult<AnySummary>> RootSession::RunErasedStream(
     CancellationTokenPtr token) {
   auto query = std::make_shared<Query>(shared_from_this(), dataset_id,
                                        std::move(sketch), seed,
-                                       std::move(token), std::string());
+                                       std::move(token), std::string(),
+                                       /*partials=*/true);
   query->Start();
   return query->stream();
 }

@@ -87,7 +87,8 @@ class RootSession : public std::enable_shared_from_this<RootSession> {
                                  const std::string& op_name);
 
   /// Runs a sketch to completion: the last value of its query stream (see
-  /// the class comment), with shared-cache lookup when `cacheable`
+  /// the class comment). Its caller reads no partial, so each worker sends
+  /// only its final summary. Shared-cache lookup when `cacheable`
   /// (identical concurrent queries are single-flighted across sessions).
   /// The seed is logged. `stats` (optional) receives what the fault
   /// machinery did. `token` (optional, typically from BeginRender) cancels
@@ -165,8 +166,10 @@ class RootSession : public std::enable_shared_from_this<RootSession> {
       CancellationTokenPtr token);
 
   /// The SketchOptions every query of this session runs with: its seed,
-  /// cancellation token and session id, plus the deployment's RpcPolicy.
-  SketchOptions QueryOptions(uint64_t seed, CancellationTokenPtr token) const;
+  /// cancellation token, session id and whether its caller reads partials,
+  /// plus the deployment's RpcPolicy.
+  SketchOptions QueryOptions(uint64_t seed, CancellationTokenPtr token,
+                             bool partials) const;
 
   /// The root execution tree for a dataset: a ParallelDataSet over one
   /// RemoteDataSet per worker. `tolerant` completes the merge over the

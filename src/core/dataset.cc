@@ -284,9 +284,11 @@ StreamPtr<PartialResult<AnySummary>> ParallelDataSet::RunSketch(
   for (const auto& child : children_) {
     weights.push_back(child->NumPartitions());
   }
-  auto merger =
-      std::make_shared<Merger>(sketch, children_.size(), std::move(weights),
-                               options_, options.cancellation, stream);
+  Options merge_options = options_;
+  merge_options.progressive = options_.progressive && options.partials;
+  auto merger = std::make_shared<Merger>(sketch, children_.size(),
+                                         std::move(weights), merge_options,
+                                         options.cancellation, stream);
 
   for (size_t i = 0; i < children_.size(); ++i) {
     SketchOptions child_options = options;

@@ -36,6 +36,13 @@ struct SketchOptions {
   /// ParallelDataSet merger; a flipped token settles the stream with
   /// Status::Cancelled and no further summaries are emitted.
   CancellationTokenPtr cancellation;
+  /// Whether the caller reads partial results. A blocking caller
+  /// (cluster::RootSession::RunSketch) reads only the final value and sets
+  /// this false: every ParallelDataSet merger of the query, on the workers
+  /// and at the root, then emits only its final summary, so each worker
+  /// sends one frame. A merger emits partials only when both this and its
+  /// own Options::progressive allow them.
+  bool partials = true;
   /// Owning session, threaded down to the simulated network so per-session
   /// byte counters make bandwidth fairness observable across tenants
   /// (cluster::RootSession fills it in; -1 = untagged single-session use).
@@ -232,7 +239,8 @@ class ParallelDataSet final : public IDataSet {
     /// propagated (§5.3: "aggregation nodes wait for 0.1 seconds").
     double aggregation_window_ms = 100.0;
     /// Emit a partial result after every child completion when true; the
-    /// window still rate-limits. False emits only the final result.
+    /// window still rate-limits. False emits only the final result, as does
+    /// a query whose SketchOptions::partials is false.
     bool progressive = true;
     /// Degraded-mode aggregation (§5.7: "the root returns the results
     /// obtained from the remaining machines"): when true, a child completing

@@ -13,7 +13,7 @@ int64_t HistogramResult::TotalCount() const {
 }
 
 void HistogramResult::Serialize(ByteWriter* w) const {
-  w->WritePodVector(counts);
+  w->WriteWords(counts);
   w->WriteI64(missing);
   w->WriteI64(out_of_range);
   w->WriteI64(rows_scanned);
@@ -21,7 +21,7 @@ void HistogramResult::Serialize(ByteWriter* w) const {
 }
 
 Status HistogramResult::Deserialize(ByteReader* r, HistogramResult* out) {
-  HV_RETURN_IF_ERROR(r->ReadPodVector(&out->counts));
+  HV_RETURN_IF_ERROR(r->ReadWords(&out->counts));
   HV_RETURN_IF_ERROR(r->ReadI64(&out->missing));
   HV_RETURN_IF_ERROR(r->ReadI64(&out->out_of_range));
   HV_RETURN_IF_ERROR(r->ReadI64(&out->rows_scanned));

@@ -10,8 +10,8 @@ namespace hillview {
 void Histogram2DResult::Serialize(ByteWriter* w) const {
   w->WriteI32(x_buckets);
   w->WriteI32(y_buckets);
-  w->WritePodVector(xy);
-  w->WritePodVector(x_counts);
+  w->WriteWords(xy);
+  w->WriteWords(x_counts);
   w->WriteI64(missing_x);
   w->WriteI64(missing_y);
   w->WriteI64(out_of_range);
@@ -22,8 +22,8 @@ void Histogram2DResult::Serialize(ByteWriter* w) const {
 Status Histogram2DResult::Deserialize(ByteReader* r, Histogram2DResult* out) {
   HV_RETURN_IF_ERROR(r->ReadI32(&out->x_buckets));
   HV_RETURN_IF_ERROR(r->ReadI32(&out->y_buckets));
-  HV_RETURN_IF_ERROR(r->ReadPodVector(&out->xy));
-  HV_RETURN_IF_ERROR(r->ReadPodVector(&out->x_counts));
+  HV_RETURN_IF_ERROR(r->ReadWords(&out->xy));
+  HV_RETURN_IF_ERROR(r->ReadWords(&out->x_counts));
   HV_RETURN_IF_ERROR(r->ReadI64(&out->missing_x));
   HV_RETURN_IF_ERROR(r->ReadI64(&out->missing_y));
   HV_RETURN_IF_ERROR(r->ReadI64(&out->out_of_range));

@@ -283,6 +283,14 @@ Status ValidateCells(const QuantileColumn& column, size_t pool_size) {
   return Status::OK();
 }
 
+/// True for the columns whose words ship through the codec's word form:
+/// ints and dates, whose sorted or clustered values cost a byte or two as
+/// runs or deltas. Doubles, strings, missing cells and mixed columns ship
+/// raw words.
+bool CodedWords(const QuantileColumn& column) {
+  return column.classes.empty() && column.kind == KeyClass::kInt;
+}
+
 /// Scalar guards for the wire format: a byzantine worker must not smuggle
 /// NaN/out-of-range scalars into the root's merge state, where they would
 /// poison every later query.
@@ -363,10 +371,20 @@ void QuantileResult::Serialize(ByteWriter* w) const {
     if (column.classes.empty()) {
       w->WriteU8(static_cast<uint8_t>(column.kind));
     } else {
+      // Sorted items keep a column's missing cells together, so its classes
+      // come in few runs.
       w->WriteU8(kPerCellClassesTag);
-      w->WritePodVector(column.classes);
+      std::vector<uint64_t> classes(column.classes.size());
+      std::transform(column.classes.begin(), column.classes.end(),
+                     classes.begin(),
+                     [](KeyClass cls) { return static_cast<uint64_t>(cls); });
+      w->WriteWords(classes);
     }
-    w->WritePodVector(column.words);
+    if (CodedWords(column)) {
+      w->WriteWords(column.words);
+    } else {
+      w->WritePodVector(column.words);
+    }
   }
   if (!unit) {
     // Weights are powers of two by construction (unit at birth, doubled by
@@ -392,30 +410,48 @@ Status QuantileResult::Deserialize(ByteReader* r, QuantileResult* out) {
   uint32_t n = 0;
   HV_RETURN_IF_ERROR(r->ReadU32(&n));
   uint32_t m = 0;
-  // A column costs at least its tag and its word count.
-  HV_RETURN_IF_ERROR(r->ReadCount(&m, /*min_element_bytes=*/5));
+  // A column costs at least its tag and a word array's length.
+  HV_RETURN_IF_ERROR(r->ReadCount(&m, /*min_element_bytes=*/3));
   bool has_weights = false;
   HV_RETURN_IF_ERROR(r->ReadBool(&has_weights));
-  // An item costs a word per column plus, when weights travel, an exponent.
-  const uint64_t item_bytes = 8 * uint64_t{m} + (has_weights ? 1 : 0);
-  if (n > 0 && (item_bytes == 0 || n > r->Remaining() / item_bytes)) {
+  // A coded column may spend no byte on an item: its length draws on the
+  // reader's word budget. Items need a column or a weight to travel in, and
+  // each weight costs an exponent byte.
+  if (n > 0 && ((m == 0 && !has_weights) ||
+                (has_weights && n > r->Remaining()))) {
     return Status::OutOfRange("truncated serialized message");
   }
   HV_RETURN_IF_ERROR(r->ReadString(&out->pool));
   out->columns.resize(m);
+  std::vector<uint64_t> classes;
   for (QuantileColumn& column : out->columns) {
     uint8_t tag = 0;
     HV_RETURN_IF_ERROR(r->ReadU8(&tag));
     if (tag > kPerCellClassesTag) return InvalidQuantile("unknown column tag");
     if (tag == kPerCellClassesTag) {
-      HV_RETURN_IF_ERROR(r->ReadPodVector(&column.classes));
-      if (column.classes.size() != n) {
+      HV_RETURN_IF_ERROR(r->ReadWords(&classes));
+      if (classes.size() != n) {
         return InvalidQuantile("class array length differs from item count");
+      }
+      column.classes.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        if (classes[i] > static_cast<uint64_t>(KeyClass::kMissing)) {
+          return InvalidQuantile("unknown cell class");
+        }
+        column.classes[i] = static_cast<KeyClass>(classes[i]);
       }
     } else {
       column.kind = static_cast<KeyClass>(tag);
     }
-    HV_RETURN_IF_ERROR(r->ReadPodVector(&column.words));
+    if (CodedWords(column)) {
+      HV_RETURN_IF_ERROR(r->ReadWords(&column.words));
+    } else {
+      // A raw word array costs 8 bytes an item.
+      if (n > r->Remaining() / sizeof(uint64_t)) {
+        return Status::OutOfRange("truncated serialized message");
+      }
+      HV_RETURN_IF_ERROR(r->ReadPodVector(&column.words));
+    }
     if (column.words.size() != n) {
       return InvalidQuantile("column length differs from item count");
     }

@@ -106,19 +106,21 @@ struct QuantileResult {
   double RankErrorBound() const;
 
   /// Wire format: the magic word, the item and column counts, the string
-  /// pool, then per column a class tag (or a per-cell class array) and its
-  /// word array, then the weights (elided when all are 1; otherwise 1-byte
-  /// power-of-two exponents) and the scalars.
+  /// pool, then per column a class tag (or a per-cell class array, as a
+  /// word vector of runs) and its words, then the weights (elided when all
+  /// are 1; otherwise 1-byte power-of-two exponents) and the scalars. Int
+  /// and date columns ship their words as a word vector (util/serialize.h:
+  /// runs or zigzag deltas); every other column ships raw 8-byte words.
   void Serialize(ByteWriter* w) const;
   /// Accepts only payloads that open with the format's magic word; checks
-  /// every count against the remaining bytes and every column against the
-  /// item count; rejects unknown class tags, double words that are NaN or
-  /// not canonical, string views outside the pool, nonzero missing words,
-  /// and hostile scalars (NaN/out-of-range rate, negative max_size, weight
-  /// exponents or total weight over the 2^44 cap — generous against the
-  /// display-sized totals real summaries carry, but tight enough that valid
-  /// payloads cannot compose into uint64 overflow downstream) with
-  /// InvalidArgument.
+  /// every count against the remaining bytes or the message's word budget,
+  /// and every column against the item count; rejects unknown class tags,
+  /// double words that are NaN or not canonical, string views outside the
+  /// pool, nonzero missing words, and hostile scalars (NaN/out-of-range
+  /// rate, negative max_size, weight exponents or total weight over the
+  /// 2^44 cap — generous against the display-sized totals real summaries
+  /// carry, but tight enough that valid payloads cannot compose into uint64
+  /// overflow downstream) with InvalidArgument.
   static Status Deserialize(ByteReader* r, QuantileResult* out);
 };
 

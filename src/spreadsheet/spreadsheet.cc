@@ -10,10 +10,11 @@ namespace hillview {
 namespace {
 
 /// Stable operation names for derived datasets; they appear in dataset ids,
-/// the redo log, and computation-cache keys.
+/// the redo log, and computation-cache keys. %.17g prints each bound
+/// exactly, so distinct bounds never share an id.
 std::string RangeOpName(const std::string& column, double lo, double hi) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "[%.6g,%.6g]", lo, hi);
+  std::snprintf(buf, sizeof(buf), "[%.17g,%.17g]", lo, hi);
   return "filter-range(" + column + buf + ")";
 }
 
@@ -357,9 +358,13 @@ Result<Spreadsheet> Spreadsheet::WithColumn(
     }
     return table->WithColumn({new_column, kind}, builder.Finish());
   };
-  HV_ASSIGN_OR_RETURN(std::string new_id,
-                      session_->MapDataSet(dataset_id_, std::move(map),
-                                           "with-column(" + new_column + ")"));
+  // The function has no name to put in the id, so each map gets its own.
+  const uint64_t serial = session_->cluster()->NextOpSerial();
+  HV_ASSIGN_OR_RETURN(
+      std::string new_id,
+      session_->MapDataSet(dataset_id_, std::move(map),
+                           "with-column(" + new_column + ")#" +
+                               std::to_string(serial)));
   return Spreadsheet(session_, new_id, screen_);
 }
 

@@ -759,6 +759,53 @@ TEST(Cluster, ProgressiveStreamDeliversPartials) {
   EXPECT_GE(partials.load(), 2);
 }
 
+// A blocking RunSketch reads only the final value, so on a progressive
+// deployment each worker still sends it exactly one frame; a stream of the
+// same sketch keeps its partials.
+TEST(Cluster, BlockingQueryMovesOneFramePerWorker) {
+  auto values = UniformDoubles(40000, 0, 1, 90);
+  std::vector<LocalDataSet::Loader> loaders;
+  for (const auto& chunk : SplitValues(values, 16)) {
+    TablePtr t = MakeDoubleTable("x", chunk);
+    loaders.push_back([t]() -> Result<TablePtr> { return t; });
+  }
+  // Every merger emits on every child completion.
+  ParallelDataSet::Options progressive;
+  progressive.aggregation_window_ms = 0;
+  cluster::Cluster::Options options;
+  options.aggregation = progressive;
+  std::vector<cluster::WorkerPtr> workers;
+  for (int w = 0; w < 4; ++w) {
+    workers.push_back(
+        std::make_shared<Worker>("w" + std::to_string(w), 1, progressive));
+  }
+  SimulatedNetwork network;
+  cluster::Cluster deployment(workers, &network, options);
+  auto root = deployment.OpenSession();
+  ASSERT_TRUE(root->LoadDataSet("data", loaders).ok());
+  auto sketch = std::make_shared<StreamingHistogramSketch>(
+      "x", Buckets(NumericBuckets(0, 1, 20)));
+
+  const uint64_t before = network.messages_up();
+  auto blocking = root->RunSketch<HistogramResult>("data", sketch);
+  ASSERT_TRUE(blocking.ok());
+  EXPECT_EQ(network.messages_up() - before, workers.size());
+
+  const uint64_t stream_before = network.messages_up();
+  auto stream = root->RunSketchStream<HistogramResult>("data", sketch);
+  std::atomic<int> partials{0};
+  stream->Subscribe([&partials](const PartialResult<HistogramResult>& p) {
+    if (p.progress < 1.0) partials.fetch_add(1);
+  });
+  auto last = stream->BlockingLast();
+  ASSERT_TRUE(stream->final_status().ok());
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->progress, 1.0);
+  EXPECT_EQ(last->value.counts, blocking.value().counts);
+  EXPECT_GE(partials.load(), 1);
+  EXPECT_GT(network.messages_up() - stream_before, workers.size());
+}
+
 TEST(Network, LatencyModelSlowsTransfers) {
   SimulatedNetwork::Model model;
   model.latency_ms = 5;

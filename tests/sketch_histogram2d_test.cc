@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "sketch/histogram.h"
 #include "sketch/histogram2d.h"
@@ -158,6 +162,148 @@ TablePtr MakeWxyTable(const std::vector<double>& ws,
                                {"x", DataKind::kDouble},
                                {"y", DataKind::kDouble}}),
                        {bw.Finish(), bx.Finish(), by.Finish()});
+}
+
+/// One axis of the bucket-edge matrix: a column kind, its buckets, and the
+/// cells to put on it (nullopt: a missing cell).
+struct EdgeAxis {
+  DataKind kind;
+  NumericBuckets buckets;
+  std::vector<std::optional<double>> cells;
+};
+
+/// Values on every bucket edge of `b` and beside it, at and beside min and
+/// max, ±0.0, ±inf, NaN and a missing cell. An int axis takes every whole
+/// number in [min - 1, max + 1]; a date axis (whole-day edges) each edge and
+/// the milliseconds beside it.
+EdgeAxis MakeEdgeAxis(DataKind kind, NumericBuckets b) {
+  EdgeAxis axis{kind, b, {std::nullopt}};
+  if (kind == DataKind::kInt) {
+    for (double v = b.min() - 1; v <= b.max() + 1; ++v) {
+      axis.cells.push_back(v);
+    }
+    return axis;
+  }
+  if (kind == DataKind::kDate) {
+    for (int i = 0; i <= b.count(); ++i) {
+      for (double d : {-1.0, 0.0, 1.0}) {
+        axis.cells.push_back(b.LowBoundary(i) + d);
+      }
+    }
+    return axis;
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> anchors = {b.min(), b.max(),
+                                 b.HighBoundary(b.count() - 1)};
+  for (int i = 0; i <= b.count(); ++i) anchors.push_back(b.LowBoundary(i));
+  for (double v : anchors) {
+    axis.cells.push_back(v);
+    axis.cells.push_back(std::nextafter(v, -inf));
+    axis.cells.push_back(std::nextafter(v, inf));
+  }
+  for (double v : {0.0, -0.0, inf, -inf,
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    axis.cells.push_back(v);
+  }
+  return axis;
+}
+
+void AppendCell(ColumnBuilder* builder, DataKind kind,
+                const std::optional<double>& cell) {
+  if (!cell.has_value()) {
+    builder->AppendMissing();
+  } else if (kind == DataKind::kInt) {
+    builder->AppendInt(static_cast<int32_t>(*cell));
+  } else if (kind == DataKind::kDate) {
+    builder->AppendDate(static_cast<int64_t>(*cell));
+  } else {
+    builder->AppendDouble(*cell);
+  }
+}
+
+/// The cartesian product of the axes' cells as an (x, y) table.
+TablePtr EdgeTable(const EdgeAxis& x, const EdgeAxis& y) {
+  ColumnBuilder bx(x.kind), by(y.kind);
+  for (const auto& xv : x.cells) {
+    for (const auto& yv : y.cells) {
+      AppendCell(&bx, x.kind, xv);
+      AppendCell(&by, y.kind, yv);
+    }
+  }
+  return Table::Create(Schema({{"x", x.kind}, {"y", y.kind}}),
+                       {bx.Finish(), by.Finish()});
+}
+
+/// A cell's bucket as the tally sees it: -2 missing (NaN included), -1 out
+/// of range, else NumericBuckets::IndexOf.
+int EdgeIndex(const NumericBuckets& b, const std::optional<double>& cell) {
+  if (!cell.has_value() || std::isnan(*cell)) return -2;
+  return b.IndexOf(*cell);
+}
+
+TEST(Histogram2D, CellsOnBucketEdgesFollowIndexOf) {
+  const double day = 86400000.0;
+  const double base = 1.2e12;  // a 2008 date, in milliseconds
+  const std::vector<EdgeAxis> axes = {
+      MakeEdgeAxis(DataKind::kInt, NumericBuckets(-10, 10, 4)),
+      MakeEdgeAxis(DataKind::kInt, NumericBuckets(-7, 8, 6)),
+      MakeEdgeAxis(DataKind::kDouble, NumericBuckets(-1.5, 2.5, 7)),
+      MakeEdgeAxis(DataKind::kDouble, NumericBuckets(-0.3, 0.9, 12)),
+      MakeEdgeAxis(DataKind::kDate,
+                   NumericBuckets(base, base + 4 * day, 4)),
+  };
+  for (const EdgeAxis& x : axes) {
+    for (const EdgeAxis& y : axes) {
+      SCOPED_TRACE(std::string(DataKindName(x.kind)) + " x " +
+                   DataKindName(y.kind) + ", " +
+                   std::to_string(x.buckets.count()) + "x" +
+                   std::to_string(y.buckets.count()) + " buckets");
+      Histogram2DResult want;
+      want.xy.assign(static_cast<size_t>(x.buckets.count()) *
+                         y.buckets.count(), 0);
+      want.x_counts.assign(x.buckets.count(), 0);
+      for (const auto& xv : x.cells) {
+        for (const auto& yv : y.cells) {
+          const int ix = EdgeIndex(x.buckets, xv);
+          const int iy = EdgeIndex(y.buckets, yv);
+          if (ix == -2) {
+            ++want.missing_x;
+          } else if (ix == -1 || iy == -1) {
+            ++want.out_of_range;
+          } else {
+            ++want.x_counts[ix];
+            if (iy == -2) {
+              ++want.missing_y;
+            } else {
+              ++want.xy[static_cast<size_t>(ix) * y.buckets.count() + iy];
+            }
+          }
+        }
+      }
+      TablePtr t = EdgeTable(x, y);
+      Histogram2DSketch sketch("x", Buckets(x.buckets), "y",
+                               Buckets(y.buckets));
+      Histogram2DResult got = sketch.Summarize(*t, 0);
+      EXPECT_EQ(got.xy, want.xy);
+      EXPECT_EQ(got.x_counts, want.x_counts);
+      EXPECT_EQ(got.missing_x, want.missing_x);
+      EXPECT_EQ(got.missing_y, want.missing_y);
+      EXPECT_EQ(got.out_of_range, want.out_of_range);
+
+      // Over rows whose y is in range or missing, the bar totals are the
+      // 1D histogram of x.
+      EdgeAxis y_kept = y;
+      std::erase_if(y_kept.cells, [&](const std::optional<double>& cell) {
+        return EdgeIndex(y.buckets, cell) == -1;
+      });
+      TablePtr kept = EdgeTable(x, y_kept);
+      Histogram2DResult joint = sketch.Summarize(*kept, 0);
+      HistogramResult flat = StreamingHistogramSketch("x", Buckets(x.buckets))
+                                 .Summarize(*kept, 0);
+      EXPECT_EQ(joint.x_counts, flat.counts);
+      EXPECT_EQ(joint.missing_x, flat.missing);
+    }
+  }
 }
 
 TEST(Trellis, GroupsByW) {

@@ -277,6 +277,52 @@ TEST_F(SpreadsheetTest, WithColumnComputesRatio) {
   EXPECT_LT(range.value().Mean(), 1500);
 }
 
+// Two views that add a column of one name by different functions are
+// different datasets: neither is served the other's cached summaries.
+TEST_F(SpreadsheetTest, WithColumnViewsOfOneNameStayDistinct) {
+  auto constant = [this](double v) {
+    return sheet_->WithColumn("Z", DataKind::kDouble, {"DepDelay"},
+                              [v](const std::vector<Value>&) -> Value {
+                                return v;
+                              });
+  };
+  auto ones = constant(1.0);
+  ASSERT_TRUE(ones.ok());
+  auto one_range = ones.value().ColumnRange("Z");
+  ASSERT_TRUE(one_range.ok());
+  auto twos = constant(2.0);
+  ASSERT_TRUE(twos.ok());
+  auto two_range = twos.value().ColumnRange("Z");
+  ASSERT_TRUE(two_range.ok());
+  EXPECT_EQ(two_range.value().min, 2.0);
+  EXPECT_EQ(two_range.value().max, 2.0);
+  // The first view still reads its own column.
+  auto again = ones.value().ColumnRange("Z");
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value().min, 1.0);
+  EXPECT_EQ(again.value().max, 1.0);
+}
+
+// Range filters whose bounds differ only past six significant digits are
+// different views.
+TEST_F(SpreadsheetTest, FilterRangeBoundsBeyondSixDigitsStayDistinct) {
+  auto derived = sheet_->WithColumn("V", DataKind::kDouble, {"DepDelay"},
+                                    [](const std::vector<Value>&) -> Value {
+                                      return 1.0000002;
+                                    });
+  ASSERT_TRUE(derived.ok());
+  auto below = derived.value().FilterRange("V", 0.0, 1.0000001);
+  ASSERT_TRUE(below.ok());
+  auto none = below.value().RowCount();
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(none.value(), 0);
+  auto above = derived.value().FilterRange("V", 0.0, 1.0000003);
+  ASSERT_TRUE(above.ok());
+  auto all = above.value().RowCount();
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all.value(), 80000);
+}
+
 TEST_F(SpreadsheetTest, SaveAsRoundTrip) {
   std::string dir = ::testing::TempDir() + "/hv_saveas";
   std::filesystem::create_directories(dir);

@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sketch/find_text.h"
@@ -26,8 +28,10 @@
 #include "sketch/save_as.h"
 #include "sketch/string_quantiles.h"
 #include "storage/sort_key.h"
+#include "render/plan.h"
 #include "util/random.h"
 #include "util/serialize.h"
+#include "workload/flights.h"
 
 namespace hillview {
 namespace {
@@ -37,26 +41,20 @@ namespace {
 /// (a flipped buffer may parse OK as garbage — that is acceptable; what is
 /// not acceptable is UB, a crash, or a giant allocation from a corrupted
 /// count, all of which ASan/UBSan turn into failures).
-template <typename R>
-void CheckWire(const R& value, const char* what) {
-  ByteWriter w;
-  value.Serialize(&w);
-  std::vector<uint8_t> bytes = w.Take();
+void AttackBytes(const std::vector<uint8_t>& bytes,
+                 const std::function<Status(ByteReader*)>& decode,
+                 const char* what) {
   ASSERT_FALSE(bytes.empty()) << what;
-
   {
     ByteReader r(bytes);
-    R out;
-    ASSERT_TRUE(R::Deserialize(&r, &out).ok()) << what;
+    ASSERT_TRUE(decode(&r).ok()) << what;
     EXPECT_TRUE(r.AtEnd()) << what << ": deserialize left trailing bytes";
   }
 
   for (size_t len = 0; len < bytes.size(); ++len) {
     ByteReader r(bytes.data(), len);
-    R out;
-    Status st = R::Deserialize(&r, &out);
-    EXPECT_FALSE(st.ok()) << what << " parsed OK truncated to " << len
-                          << " of " << bytes.size() << " bytes";
+    EXPECT_FALSE(decode(&r).ok()) << what << " parsed OK truncated to " << len
+                                  << " of " << bytes.size() << " bytes";
   }
 
   constexpr int kFlips = 512;
@@ -71,9 +69,255 @@ void CheckWire(const R& value, const char* what) {
       mutated[byte2] ^= static_cast<uint8_t>(1u << rng.NextUint64(8));
     }
     ByteReader r(mutated);
-    R out;
-    (void)R::Deserialize(&r, &out);  // must not crash; status may be either
+    (void)decode(&r);  // must not crash; status may be either
   }
+}
+
+template <typename R>
+void CheckWire(const R& value, const char* what) {
+  ByteWriter w;
+  value.Serialize(&w);
+  AttackBytes(
+      w.Take(),
+      [](ByteReader* r) {
+        R out;
+        return R::Deserialize(r, &out);
+      },
+      what);
+}
+
+// --- The codec's forms (util/serialize.h) ----------------------------------
+
+/// Decodes `bytes` with `read` and returns its status.
+Status Decode(const std::vector<uint8_t>& bytes,
+              const std::function<Status(ByteReader*)>& read) {
+  ByteReader r(bytes);
+  return read(&r);
+}
+
+Status DecodeVarint(const std::vector<uint8_t>& bytes) {
+  return Decode(bytes, [](ByteReader* r) {
+    uint64_t v = 0;
+    return r->ReadVarint(&v);
+  });
+}
+
+Status DecodeWords(const std::vector<uint8_t>& bytes) {
+  return Decode(bytes, [](ByteReader* r) {
+    std::vector<uint64_t> v;
+    return r->ReadWords(&v);
+  });
+}
+
+/// Appends `v` as a LEB128 varint: seven bits a byte, low group first.
+void AppendVarint(uint64_t v, std::vector<uint8_t>* bytes) {
+  while (v >= 0x80) {
+    bytes->push_back(static_cast<uint8_t>(v) | 0x80);
+    v >>= 7;
+  }
+  bytes->push_back(static_cast<uint8_t>(v));
+}
+
+/// Raw codec bytes: a form tag followed by varints.
+std::vector<uint8_t> Coded(CodedForm form,
+                           const std::vector<uint64_t>& varints) {
+  std::vector<uint8_t> bytes = {static_cast<uint8_t>(form)};
+  for (uint64_t v : varints) AppendVarint(v, &bytes);
+  return bytes;
+}
+
+void Append(const std::vector<uint8_t>& more, std::vector<uint8_t>* bytes) {
+  bytes->insert(bytes->end(), more.begin(), more.end());
+}
+
+TEST(WireCodec, VarintsRoundTripAtEveryWidth) {
+  for (uint64_t v : {uint64_t{0}, uint64_t{1}, uint64_t{127}, uint64_t{128},
+                     uint64_t{16383}, uint64_t{16384}, uint64_t{1} << 32,
+                     uint64_t{1} << 63,
+                     std::numeric_limits<uint64_t>::max()}) {
+    std::vector<uint8_t> bytes;
+    AppendVarint(v, &bytes);
+    EXPECT_EQ(bytes.size(), VarintSize(v)) << v;
+    ByteReader r(bytes);
+    uint64_t back = 0;
+    ASSERT_TRUE(r.ReadVarint(&back).ok()) << v;
+    EXPECT_EQ(back, v);
+    EXPECT_TRUE(r.AtEnd());
+  }
+  EXPECT_EQ(VarintSize(std::numeric_limits<uint64_t>::max()),
+            static_cast<size_t>(kMaxVarintBytes));
+  for (int64_t v : {std::numeric_limits<int64_t>::min(), int64_t{-1},
+                    int64_t{0}, int64_t{1},
+                    std::numeric_limits<int64_t>::max()}) {
+    EXPECT_EQ(ZigZagDecode(ZigZagEncode(v)), v);
+  }
+  EXPECT_EQ(ZigZagEncode(-1), 1u);
+  EXPECT_EQ(ZigZagEncode(1), 2u);
+}
+
+TEST(WireCodec, VarintsRejectOverlongAndOverflowingForms) {
+  const std::vector<uint8_t> nines(9, 0xFF);
+  auto with = [&](std::vector<uint8_t> tail) {
+    std::vector<uint8_t> bytes = nines;
+    bytes.insert(bytes.end(), tail.begin(), tail.end());
+    return bytes;
+  };
+  const StatusCode kInvalid = StatusCode::kInvalidArgument;
+  EXPECT_EQ(DecodeVarint({0x80, 0x00}).code(), kInvalid) << "zero padded";
+  EXPECT_EQ(DecodeVarint({0x81, 0x80, 0x00}).code(), kInvalid)
+      << "two zero groups";
+  EXPECT_EQ(DecodeVarint(with({0x00})).code(), kInvalid) << "10-byte zero tail";
+  EXPECT_EQ(DecodeVarint(with({0x02})).code(), kInvalid) << "bit 64 set";
+  EXPECT_EQ(DecodeVarint(with({0x81, 0x00})).code(), kInvalid)
+      << "an 11th byte";
+  EXPECT_EQ(DecodeVarint({0x80}).code(), StatusCode::kOutOfRange)
+      << "truncated";
+  EXPECT_TRUE(DecodeVarint(with({0x01})).ok()) << "2^64 - 1";
+}
+
+TEST(WireCodec, CountsTravelAsWords) {
+  // Histogram and heat-map tallies: a sparse heat map's empty cells
+  // collapse into runs of zeros; dense tallies travel as deltas.
+  std::vector<int64_t> dense = {5, 0, 3, 12, 300, 1, 70000};
+  std::vector<int64_t> sparse(8778, 0);
+  for (size_t i = 17; i < sparse.size(); i += 61) sparse[i] = 1 + i % 400;
+  const std::vector<int64_t> odd = {-1, std::numeric_limits<int64_t>::min(),
+                                    std::numeric_limits<int64_t>::max()};
+  for (const auto& [counts, form, what] :
+       {std::tuple{dense, CodedForm::kWordDeltas, "dense counts"},
+        std::tuple{sparse, CodedForm::kWordRuns, "sparse counts"},
+        std::tuple{odd, CodedForm::kWordDeltas, "extreme counts"},
+        std::tuple{std::vector<int64_t>{}, CodedForm::kWordDeltas,
+                   "no counts"},
+        std::tuple{std::vector<int64_t>(50, 0), CodedForm::kWordRuns,
+                   "all zero"}}) {
+    ByteWriter w;
+    w.WriteWords(counts);
+    std::vector<uint8_t> bytes = w.Take();
+    EXPECT_EQ(bytes[0], static_cast<uint8_t>(form)) << what;
+    std::vector<int64_t> back;
+    ByteReader r(bytes);
+    ASSERT_TRUE(r.ReadWords(&back).ok()) << what;
+    EXPECT_EQ(back, counts) << what;
+    AttackBytes(
+        bytes,
+        [](ByteReader* reader) {
+          std::vector<int64_t> out;
+          return reader->ReadWords(&out);
+        },
+        what);
+  }
+}
+
+TEST(WireCodec, LengthsOverTheMessageBudgetAreRejectedBeforeAllocating) {
+  const StatusCode kInvalid = StatusCode::kInvalidArgument;
+  const uint64_t cap = kMaxMessageWords;
+  // A run costs a few bytes whatever its length, so only the budget stands
+  // between a declared length and the allocation.
+  EXPECT_TRUE(DecodeWords(Coded(CodedForm::kWordRuns, {cap, 1, cap, 8})).ok());
+  for (uint64_t n : {cap + 1, uint64_t{1} << 62}) {
+    EXPECT_EQ(DecodeWords(Coded(CodedForm::kWordRuns, {n, 1, n, 8})).code(),
+              kInvalid)
+        << n;
+    EXPECT_EQ(DecodeWords(Coded(CodedForm::kWordDeltas, {n, 1})).code(),
+              kInvalid)
+        << n;
+  }
+  // The budget spans the message: its vectors share it.
+  const std::vector<uint8_t> half =
+      Coded(CodedForm::kWordRuns, {cap / 2, 1, cap / 2, 0});
+  std::vector<uint8_t> bytes;
+  for (int i = 0; i < 3; ++i) Append(half, &bytes);
+  Append(Coded(CodedForm::kWordDeltas, {0}), &bytes);
+  ByteReader r(bytes);
+  std::vector<uint64_t> words;
+  ASSERT_TRUE(r.ReadWords(&words).ok());
+  ASSERT_TRUE(r.ReadWords(&words).ok());
+  EXPECT_EQ(r.ReadWords(&words).code(), kInvalid) << "a third half";
+  // Each message gets its own budget.
+  EXPECT_TRUE(DecodeWords(half).ok());
+}
+
+TEST(WireCodec, WordColumnsPickTheSmallerForm) {
+  std::vector<uint64_t> runs;  // a sorted Year-like column: few runs
+  for (int64_t year = 1999; year < 2004; ++year) {
+    runs.insert(runs.end(), 200, EncodeI64(year));
+  }
+  std::vector<uint64_t> deltas;  // a sorted column of distinct values
+  for (int64_t v = -500; v < 500; v += 3) deltas.push_back(EncodeI64(v));
+  const std::vector<uint64_t> wraps = {std::numeric_limits<uint64_t>::max(),
+                                       0, uint64_t{1} << 63, 7, 7};
+  for (const auto& [words, form, what] :
+       {std::tuple{runs, CodedForm::kWordRuns, "word runs"},
+        std::tuple{deltas, CodedForm::kWordDeltas, "word deltas"},
+        std::tuple{wraps, CodedForm::kWordDeltas, "wrapping deltas"},
+        std::tuple{std::vector<uint64_t>{}, CodedForm::kWordDeltas,
+                   "no words"}}) {
+    ByteWriter w;
+    w.WriteWords(words);
+    std::vector<uint8_t> bytes = w.Take();
+    EXPECT_EQ(bytes[0], static_cast<uint8_t>(form)) << what;
+    std::vector<uint64_t> back;
+    ByteReader r(bytes);
+    ASSERT_TRUE(r.ReadWords(&back).ok()) << what;
+    EXPECT_EQ(back, words) << what;
+    AttackBytes(
+        bytes,
+        [](ByteReader* reader) {
+          std::vector<uint64_t> out;
+          return reader->ReadWords(&out);
+        },
+        what);
+  }
+}
+
+TEST(WireCodec, WordRunsMustSumToTheDeclaredLength) {
+  const StatusCode kInvalid = StatusCode::kInvalidArgument;
+  const CodedForm kRuns = CodedForm::kWordRuns;
+  // n, runs, (length, zigzag delta)...
+  EXPECT_TRUE(DecodeWords(Coded(kRuns, {4, 2, 3, 2, 1, 4})).ok());
+  EXPECT_EQ(DecodeWords(Coded(kRuns, {4, 2, 2, 2, 1, 4})).code(), kInvalid)
+      << "runs one short";
+  EXPECT_EQ(DecodeWords(Coded(kRuns, {4, 2, 3, 2, 2, 4})).code(), kInvalid)
+      << "runs past the end";
+  EXPECT_EQ(DecodeWords(Coded(kRuns, {4, 2, 0, 2, 4, 4})).code(), kInvalid)
+      << "an empty run";
+  EXPECT_EQ(DecodeWords(Coded(kRuns, {1, 2, 1, 2, 1, 4})).code(), kInvalid)
+      << "more runs than words";
+  // A sparse tally: zeros, one count, zeros.
+  EXPECT_TRUE(DecodeWords(Coded(kRuns, {5, 3, 1, 0, 1, 6, 3, 5})).ok());
+  EXPECT_EQ(DecodeWords(Coded(kRuns, {5, 3, 1, 0, 1, 6, 2, 5})).code(),
+            kInvalid)
+      << "sparse runs one short";
+  EXPECT_EQ(DecodeWords(Coded(static_cast<CodedForm>(9), {1, 1})).code(),
+            kInvalid)
+      << "unknown form";
+}
+
+TEST(WireRobustness, Histogram2DSparse) {
+  // O11's shape: a 133x66 heat map with few nonzero cells, whose empty
+  // cells ship as runs of zeros.
+  Histogram2DResult g;
+  g.x_buckets = 133;
+  g.y_buckets = 66;
+  g.xy.assign(133 * 66, 0);
+  g.x_counts.assign(133, 0);
+  for (int i = 0; i < 147; ++i) {
+    const int x = (i * 37) % 133;
+    const int y = (i * 11) % 66;
+    g.xy[static_cast<size_t>(x) * 66 + y] += 1 + i;
+    g.x_counts[x] += 1 + i;
+  }
+  g.rows_scanned = 99999;
+  CheckWire(g, "Histogram2DResult(sparse)");
+  ByteWriter w;
+  g.Serialize(&w);
+  EXPECT_LT(w.size(), 1000u);
+  ByteReader r(w.bytes());
+  Histogram2DResult back;
+  ASSERT_TRUE(Histogram2DResult::Deserialize(&r, &back).ok());
+  EXPECT_EQ(back.xy, g.xy);
+  EXPECT_EQ(back.x_counts, g.x_counts);
 }
 
 TEST(WireRobustness, Histogram) {
@@ -171,6 +415,44 @@ TEST(WireRobustness, Quantile) {
             (std::vector<Value>{Value(3.25), Value(std::string("zz"))}));
 }
 
+TEST(WireRobustness, QuantileIntColumns) {
+  // O4's shape: sorted int columns whose words travel as runs (Year) or as
+  // deltas (a distinct sorted key), beside a double column with missing
+  // cells whose classes travel as runs.
+  QuantileResult q;
+  QuantileColumn year;
+  year.kind = KeyClass::kInt;
+  QuantileColumn id;
+  id.kind = KeyClass::kInt;
+  QuantileColumn delay;
+  for (int i = 0; i < 300; ++i) {
+    year.words.push_back(EncodeI64(1999 + i / 100));
+    id.words.push_back(EncodeI64(-50 + 3 * i));
+    const bool missing = i % 100 >= 95;
+    delay.classes.push_back(missing ? KeyClass::kMissing : KeyClass::kDouble);
+    delay.words.push_back(missing ? 0 : EncodeF64(0.5 * (i % 100)));
+  }
+  q.columns = {year, id, delay};
+  q.weights.assign(300, 1);
+  q.rate = 0.5;
+  q.max_size = 600;
+  CheckWire(q, "QuantileResult(int columns)");
+
+  ByteWriter w;
+  q.Serialize(&w);
+  // Two coded int columns and the class runs cost far less than a word an
+  // item: the double column's raw words dominate.
+  EXPECT_LT(w.size(), 300u * 8 + 1200);
+  ByteReader r(w.bytes());
+  QuantileResult out;
+  ASSERT_TRUE(QuantileResult::Deserialize(&r, &out).ok());
+  for (size_t c = 0; c < q.columns.size(); ++c) {
+    EXPECT_EQ(out.columns[c].kind, q.columns[c].kind) << c;
+    EXPECT_EQ(out.columns[c].classes, q.columns[c].classes) << c;
+    EXPECT_EQ(out.columns[c].words, q.columns[c].words) << c;
+  }
+}
+
 TEST(WireRobustness, QuantileWeighted) {
   QuantileResult q;
   QuantileColumn doubles;
@@ -198,7 +480,9 @@ TEST(WireRobustness, QuantileWeighted) {
 }
 
 /// One hand-built column of a quantile payload: its tag (a KeyClass, or 4
-/// for per-cell classes, which are then written), its classes and words.
+/// for per-cell classes, which are then written as a word column), its
+/// classes and words. An int column's words travel as a word column (runs
+/// or zigzag deltas); every other column's as raw 8-byte words.
 struct WireColumn {
   uint8_t tag;
   std::vector<uint8_t> classes;
@@ -225,8 +509,15 @@ std::vector<uint8_t> QuantileBytes(uint32_t items, const std::string& pool,
   w.WriteString(pool);
   for (const WireColumn& column : columns) {
     w.WriteU8(column.tag);
-    if (column.tag == kPerCellTag) w.WritePodVector(column.classes);
-    w.WritePodVector(column.words);
+    if (column.tag == kPerCellTag) {
+      w.WriteWords(std::vector<uint64_t>(column.classes.begin(),
+                                         column.classes.end()));
+    }
+    if (column.tag == static_cast<uint8_t>(KeyClass::kInt)) {
+      w.WriteWords(column.words);
+    } else {
+      w.WritePodVector(column.words);
+    }
   }
   for (uint8_t exponent : exponents) w.WriteU8(exponent);
   w.WriteDouble(rate);
@@ -378,10 +669,91 @@ TEST(WireRobustness, QuantileRejectsMalformedColumns) {
                        {{kDouble, {}, {EncodeF64(1.0), ~(uint64_t{1} << 63)}}},
                        {}),
          kInvalid, "-0.0 double word");
-  reject(QuantileBytes(1000, "", {ints}, {}), StatusCode::kOutOfRange,
+  // An int column may cost no byte per item, so the bound needs a column
+  // of raw words.
+  reject(QuantileBytes(1000, "", {DoubleColumn(2)}, {}),
+         StatusCode::kOutOfRange,
          "item count whose columns cannot fit in the remaining bytes");
+  reject(QuantileBytes(1000, "", {ints}, {}), kInvalid,
+         "int column shorter than the item count");
+  const uint32_t over = static_cast<uint32_t>(kMaxMessageWords) + 1;
+  reject(QuantileBytes(over, "",
+                       {{kInt, {}, std::vector<uint64_t>(over, EncodeI64(7))}},
+                       {}),
+         kInvalid, "int column over the message's word budget");
   reject(QuantileBytes(2, "", {}, {}), StatusCode::kOutOfRange,
          "items without columns or weights");
+}
+
+TEST(WireRobustness, QuantileColumnsShareOneWordBudget) {
+  // An int column of n equal words is a single run of about ten bytes. A
+  // frame of a thousand of them declares a thousand times n words; the
+  // reader's budget stops the decode once the columns so far hold
+  // kMaxMessageWords words, not at a thousand times n.
+  const uint64_t n = kMaxMessageWords / 4;
+  const uint32_t columns = 1000;
+  ByteWriter header;
+  header.WriteU32(0x4B4C4C32);  // the column-wise format's magic
+  header.WriteU32(static_cast<uint32_t>(n));
+  header.WriteU32(columns);
+  header.WriteBool(false);
+  header.WriteString("");
+  std::vector<uint8_t> bytes = header.Take();
+  std::vector<uint8_t> column = {static_cast<uint8_t>(KeyClass::kInt)};
+  Append(Coded(CodedForm::kWordRuns, {n, 1, n, ZigZagEncode(7)}), &column);
+  for (uint32_t c = 0; c < columns; ++c) Append(column, &bytes);
+  ByteWriter tail;
+  tail.WriteDouble(0.5);
+  tail.WriteI32(8);
+  tail.WriteU64(1);
+  tail.WriteU64(0);
+  tail.WriteDouble(0.0);
+  Append(tail.Take(), &bytes);
+  EXPECT_LT(bytes.size(), 12u * columns + 64);
+
+  ByteReader r(bytes);
+  QuantileResult out;
+  Status st = QuantileResult::Deserialize(&r, &out);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(st.message(), "word vectors over the message's cap");
+}
+
+TEST(WireRobustness, TrellisGroupsShareOneWordBudget) {
+  // An empty 1024x256 heat map costs 64 bytes, its cells a run of zeros,
+  // but decodes to 2^18 cells. A trellis of a thousand of them is stopped
+  // by the message's word budget at its fourth group.
+  Histogram2DResult empty;
+  empty.x_buckets = 1024;
+  empty.y_buckets = 256;
+  empty.xy.assign(size_t{1024} * 256, 0);
+  empty.x_counts.assign(1024, 0);
+  ByteWriter group;
+  empty.Serialize(&group);
+  ASSERT_LE(group.size(), 64u);
+  const uint32_t groups = 1000;
+  ByteWriter head;
+  head.WriteU32(groups);
+  std::vector<uint8_t> bytes = head.Take();
+  for (uint32_t g = 0; g < groups; ++g) Append(group.bytes(), &bytes);
+  ByteWriter tail;
+  tail.WriteI64(0);
+  tail.WriteI64(0);
+  Append(tail.Take(), &bytes);
+
+  ByteReader r(bytes);
+  TrellisResult out;
+  Status st = TrellisResult::Deserialize(&r, &out);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(st.message(), "word vectors over the message's cap");
+
+  // Three such groups fit the budget and decode.
+  std::vector<uint8_t> three = {3, 0, 0, 0};
+  for (int g = 0; g < 3; ++g) Append(group.bytes(), &three);
+  Append(std::vector<uint8_t>(16, 0), &three);
+  ByteReader r3(three);
+  ASSERT_TRUE(TrellisResult::Deserialize(&r3, &out).ok());
+  EXPECT_EQ(out.groups.size(), 3u);
+  EXPECT_EQ(out.groups[2].xy, empty.xy);
 }
 
 TEST(WireRobustness, BottomKStrings) {
@@ -456,6 +828,148 @@ TEST(WireRobustness, SaveAs) {
   save.rows_written = 30000;
   save.errors = {"disk full", ""};
   CheckWire(save, "SaveResult");
+}
+
+// --- Flights summaries decode cell for cell ---------------------------------
+
+/// The fixed-width layout every word vector replaced (one 8-byte word per
+/// count, key word and class byte), as a reference the decoded summaries
+/// must match exactly.
+std::vector<uint8_t> FixedWidth(const HistogramResult& h) {
+  ByteWriter w;
+  w.WritePodVector(h.counts);
+  w.WriteI64(h.missing);
+  w.WriteI64(h.out_of_range);
+  w.WriteI64(h.rows_scanned);
+  w.WriteDouble(h.sample_rate);
+  return w.Take();
+}
+
+std::vector<uint8_t> FixedWidth(const Histogram2DResult& g) {
+  ByteWriter w;
+  w.WriteI32(g.x_buckets);
+  w.WriteI32(g.y_buckets);
+  w.WritePodVector(g.xy);
+  w.WritePodVector(g.x_counts);
+  w.WriteI64(g.missing_x);
+  w.WriteI64(g.missing_y);
+  w.WriteI64(g.out_of_range);
+  w.WriteI64(g.rows_scanned);
+  w.WriteDouble(g.sample_rate);
+  return w.Take();
+}
+
+std::vector<uint8_t> FixedWidth(const QuantileResult& q) {
+  ByteWriter w;
+  for (const QuantileColumn& column : q.columns) {
+    // A per-cell column's `kind` is unused, and no layout carries it.
+    const KeyClass kind =
+        column.classes.empty() ? column.kind : KeyClass::kMissing;
+    w.WriteU8(static_cast<uint8_t>(kind));
+    w.WritePodVector(column.classes);
+    w.WritePodVector(column.words);
+  }
+  w.WriteString(q.pool);
+  w.WritePodVector(q.weights);
+  w.WriteDouble(q.rate);
+  w.WriteI32(q.max_size);
+  w.WriteU64(q.seed);
+  w.WriteU64(q.error.worst);
+  w.WriteDouble(q.error.variance);
+  return w.Take();
+}
+
+/// Serializes `summary`, decodes it, and checks the decoded summary against
+/// the original in the fixed-width layout.
+template <typename R>
+void ExpectDecodesCellForCell(const R& summary, const std::string& what) {
+  ByteWriter w;
+  summary.Serialize(&w);
+  ByteReader r(w.bytes());
+  R back;
+  ASSERT_TRUE(R::Deserialize(&r, &back).ok()) << what;
+  EXPECT_TRUE(r.AtEnd()) << what;
+  EXPECT_EQ(FixedWidth(back), FixedWidth(summary)) << what;
+  EXPECT_LE(w.size(), FixedWidth(summary).size() + 16) << what;
+}
+
+/// Summarizes every partition and their merge (the workers' and the root's
+/// summaries) and checks that each one decodes cell for cell.
+template <typename R>
+void ExpectSketchDecodes(const Sketch<R>& sketch,
+                         const std::vector<TablePtr>& partitions) {
+  R merged = sketch.Zero();
+  for (size_t p = 0; p < partitions.size(); ++p) {
+    R summary = sketch.Summarize(*partitions[p], MixSeed(7, p));
+    ExpectDecodesCellForCell(summary,
+                             sketch.name() + " partition " + std::to_string(p));
+    merged = sketch.Merge(merged, summary);
+  }
+  ExpectDecodesCellForCell(merged, sketch.name() + " merged");
+}
+
+template <typename R>
+R SummarizeAll(const Sketch<R>& sketch,
+               const std::vector<TablePtr>& partitions) {
+  R merged = sketch.Zero();
+  for (const TablePtr& t : partitions) {
+    merged = sketch.Merge(merged, sketch.Summarize(*t, 0));
+  }
+  return merged;
+}
+
+TEST(WireRoundTrip, FlightsSummariesDecodeCellForCell) {
+  // The coded summaries of O4-O7, O10 and O11 (Fig 5) on flights
+  // partitions, planned as the spreadsheet plans them for a 400x200 screen.
+  std::vector<TablePtr> partitions;
+  for (uint64_t p = 0; p < 4; ++p) {
+    partitions.push_back(workload::GenerateFlights(5000, MixSeed(23, p)));
+  }
+  const ScreenResolution screen{400, 200};
+  auto numeric = [&](const std::string& column, int count) {
+    return Buckets(PlanNumericBuckets(
+        SummarizeAll(RangeSketch(column), partitions), count));
+  };
+  auto strings = [&](const std::string& column, int count) {
+    return Buckets(PlanStringBuckets(
+        SummarizeAll(BottomKStringsSketch(column), partitions),
+        SummarizeAll(RangeSketch(column), partitions), count));
+  };
+
+  // O4: the scroll-bar quantile over five order columns, three of them ints.
+  const RecordOrder order5({{"Year", true},
+                            {"Month", true},
+                            {"DayOfMonth", true},
+                            {"DepDelay", true},
+                            {"Distance", true}});
+  ExpectSketchDecodes(QuantileSketch(order5, 0.5, 20002), partitions);
+  ExpectSketchDecodes(QuantileSketch(RecordOrder({{"FlightDate", false}}), 1.0,
+                                     20002),
+                      partitions);
+  // O5-O7: histograms and CDFs, numeric and string.
+  const int bars = HistogramBucketCount(screen);
+  ExpectSketchDecodes(
+      StreamingHistogramSketch("DepDelay", numeric("DepDelay", bars)),
+      partitions);
+  ExpectSketchDecodes(
+      SampledHistogramSketch("ArrDelay", numeric("ArrDelay", bars), 0.3),
+      partitions);
+  ExpectSketchDecodes(
+      StreamingHistogramSketch("DepDelay", numeric("DepDelay", screen.width)),
+      partitions);
+  ExpectSketchDecodes(
+      StreamingHistogramSketch("Origin", strings("Origin", bars)), partitions);
+  // O10: a stacked histogram; O11: a heat map.
+  ExpectSketchDecodes(
+      Histogram2DSketch("CrsDepTime", numeric("CrsDepTime", bars), "Airline",
+                        strings("Airline", ChartDefaults::kMaxStackColors)),
+      partitions);
+  ExpectSketchDecodes(
+      Histogram2DSketch("DepDelay",
+                        numeric("DepDelay", HeatMapBucketsX(screen)),
+                        "ArrDelay",
+                        numeric("ArrDelay", HeatMapBucketsY(screen))),
+      partitions);
 }
 
 }  // namespace
