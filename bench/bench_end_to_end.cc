@@ -7,9 +7,16 @@
 // Scaled down from the paper's 8-server 650M-13B row testbed to a laptop
 // deployment; the claims under test are shape claims: Hillview ~= baseline
 // or faster while processing more data, baseline ships ~10x more bytes, and
-// first partials arrive well before completion.
+// first partials arrive well before completion. Every operation runs once
+// to warm up and is then timed 7 times; times are the medians, and bytes
+// are those of a timed run, which must all receive the same.
 
+#include <algorithm>
 #include <cinttypes>
+#include <cstdlib>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "baseline/row_engine.h"
 #include "bench_common.h"
@@ -18,6 +25,45 @@
 namespace hillview {
 namespace bench {
 namespace {
+
+/// Timed runs of each operation after its first pass; their medians are
+/// the reported times, since one run swings more than a change moves them.
+constexpr int kTimedRuns = 7;
+
+double MedianOf(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+/// Runs `op` once to warm what a first pass builds (preparation results in
+/// the cache, sort keys), then kTimedRuns times, and returns the median
+/// time and time to first partial. The bytes the root receives must repeat
+/// exactly over the timed runs; the bench fails if they do not.
+workload::OpMeasurement Measure(
+    const std::function<workload::OpMeasurement()>& op,
+    const std::string& what) {
+  (void)op();
+  std::vector<double> seconds;
+  std::vector<double> first_partial;
+  workload::OpMeasurement out;
+  for (int run = 0; run < kTimedRuns; ++run) {
+    workload::OpMeasurement m = op();
+    if (run == 0) {
+      out = m;
+    } else if (m.root_bytes != out.root_bytes) {
+      std::fprintf(stderr,
+                   "%s: root bytes differ between timed runs (%" PRIu64
+                   " vs %" PRIu64 ")\n",
+                   what.c_str(), m.root_bytes, out.root_bytes);
+      std::exit(1);
+    }
+    seconds.push_back(m.seconds);
+    first_partial.push_back(m.first_partial_seconds);
+  }
+  out.seconds = MedianOf(seconds);
+  out.first_partial_seconds = MedianOf(first_partial);
+  return out;
+}
 
 void Run() {
   const uint64_t base_rows = static_cast<uint64_t>(200000 * BenchScale());
@@ -57,14 +103,25 @@ void Run() {
   std::vector<Row> rows(workload::kNumOperations);
   for (int op = 1; op <= workload::kNumOperations; ++op) {
     Row& row = rows[op - 1];
-    row.baseline = workload::RunBaselineOperation(&engine, op);
+    const std::string name = workload::OperationName(op);
+    row.baseline = Measure(
+        [&] { return workload::RunBaselineOperation(&engine, op); },
+        name + " baseline");
     for (auto& scale : scales) {
-      row.hillview.push_back(
-          workload::RunHillviewOperation(scale.cluster->sheet.get(), op));
+      // Every run starts from one copy of the sheet, so a sampled sketch
+      // draws the same seed each time and the root receives the same bytes.
+      const Spreadsheet start = *scale.cluster->sheet;
+      row.hillview.push_back(Measure(
+          [&] {
+            Spreadsheet sheet = start;
+            return workload::RunHillviewOperation(&sheet, op);
+          },
+          name + " hillview " + std::to_string(scale.factor) + "x"));
     }
   }
 
-  PrintHeader("Figure 5 (top): response time (seconds)");
+  PrintHeader("Figure 5 (top): response time (seconds, median of " +
+              std::to_string(kTimedRuns) + " runs)");
   std::printf("%-5s %-52s %10s %10s %10s %10s %10s\n", "op", "description",
               "Spark1x", "HV1x", "HV2x", "HV4x", "HV4xF");
   for (int op = 1; op <= workload::kNumOperations; ++op) {

@@ -4,7 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cluster/network.h"
@@ -13,12 +13,34 @@
 #include "cluster/worker_health.h"
 #include "core/computation_cache.h"
 #include "core/dataset.h"
-#include "util/thread_annotations.h"
 
 namespace hillview {
 namespace cluster {
 
 class RootSession;
+class DataSetRegistry;  // cluster.cc
+
+/// A dataset id and a pin on it (see Cluster): while some copy of the handle
+/// lives, a derived id keeps its lineage and its data on every worker.
+/// Copies share one pin, and the last copy's destruction releases it. A
+/// handle on a base id, or on an id the cluster does not know, pins nothing.
+/// A handle may outlive its Cluster; its release is then a no-op.
+class PinnedId {
+ public:
+  PinnedId() = default;
+
+  const std::string& id() const { return id_; }
+
+ private:
+  friend class DataSetRegistry;  // the only issuer of pins
+  struct Pin;                    // cluster.cc: releases in its destructor
+
+  PinnedId(std::string id, std::shared_ptr<const Pin> pin)
+      : id_(std::move(id)), pin_(std::move(pin)) {}
+
+  std::string id_;
+  std::shared_ptr<const Pin> pin_;
+};
 
 /// The shared serving substrate of the multi-tenant root (Fig 1's web
 /// server, split from the per-user state): one Cluster owns the workers, the
@@ -43,6 +65,16 @@ class RootSession;
 ///    what a restarted worker lost, on that worker only (§5.7), and from
 ///    which a degraded merge weighs a restarted worker by the partitions it
 ///    should hold rather than by what it still knows.
+///
+/// Every worker byte is soft state (§5.7), and a derived id lives only
+/// while something pins it (PinnedId): a Spreadsheet view (copies share one
+/// pin), a running query (from its start until it settles), or a derived
+/// child's own lineage, which pins its parent. When the last pin goes, the
+/// Cluster erases the id's lineage, drops the id from every worker
+/// (Worker::Drop) and releases the parent, all under the mutex a heal
+/// holds, so a release and a heal never interleave. Base ids (LoadDataSet)
+/// are never dropped, and neither are shared-cache entries: an id names its
+/// lineage, so a view derived again hits the summaries cached for it.
 ///
 /// Sessions share the worker-side dataset namespace: dataset ids are
 /// cluster-global, so any session's query heals any id, and loading an id
@@ -116,28 +148,27 @@ class Cluster {
     std::string op_name;
   };
 
-  /// Records (or replaces) the lineage of `dataset_id`.
-  void Record(const std::string& dataset_id, Lineage lineage)
-      EXCLUDES(mutex_);
+  /// Records (or replaces) the lineage of `dataset_id`. A derived id comes
+  /// back pinned, with one more pin if it was live already; a fresh one
+  /// pins its parent. A base id comes back unpinned: it is never dropped.
+  PinnedId Record(const std::string& dataset_id, Lineage lineage);
+
+  /// Pins `dataset_id` for the handle's lifetime if it is a live derived
+  /// id; any other id comes back unpinned.
+  PinnedId Pin(const std::string& dataset_id);
 
   /// Ensures `dataset_id` is present: on each worker that lacks it, rebuilds
   /// its missing ancestors and then it, on that worker only. Returns how
   /// many datasets it rebuilt, summed over workers. An id without a recorded
   /// base rebuilds nothing, and a worker that restarts again mid-heal is
   /// left to the next query attempt to find.
-  int Heal(const std::string& dataset_id) EXCLUDES(mutex_);
+  int Heal(const std::string& dataset_id);
 
   /// Partitions per worker of `dataset_id` (a derived id has its base's),
-  /// or empty for an id without a recorded base.
-  std::vector<int> Partitions(const std::string& dataset_id) const
-      EXCLUDES(mutex_);
+  /// or empty for an id without a recorded base (a released one included).
+  std::vector<int> Partitions(const std::string& dataset_id) const;
 
  private:
-  /// Heal's step on one worker: whether `dataset_id` is present there
-  /// afterwards.
-  bool HealOn(size_t w, const std::string& dataset_id, int* rebuilt)
-      REQUIRES(mutex_);
-
   std::vector<WorkerPtr> workers_;
   SimulatedNetwork* network_;
   Options options_;
@@ -146,9 +177,9 @@ class Cluster {
   QueryScheduler scheduler_;
   std::atomic<int> next_session_id_{0};
   std::atomic<uint64_t> next_op_serial_{0};
-  /// Held across a heal, so concurrent heals of one id rebuild it once.
-  mutable Mutex mutex_;
-  std::unordered_map<std::string, Lineage> lineage_ GUARDED_BY(mutex_);
+  /// The lineage records and their pins. Pins reach it weakly, so one that
+  /// outlives the Cluster finds it gone.
+  std::shared_ptr<DataSetRegistry> registry_;
 };
 
 }  // namespace cluster

@@ -19,16 +19,18 @@ Status RootSession::LoadDataSet(
   return Status::OK();
 }
 
-Result<std::string> RootSession::MapDataSet(const std::string& parent_id,
-                                            TableMap map,
-                                            const std::string& op_name) {
+Result<PinnedId> RootSession::MapDataSet(const std::string& parent_id,
+                                         TableMap map,
+                                         const std::string& op_name) {
   std::string new_id = parent_id + "/" + op_name;
-  cluster_->Record(new_id, {{}, parent_id, map, op_name});
+  // Pinned before any worker holds it, so no release slips in between; a
+  // failed map releases the pin on return.
+  PinnedId derived = cluster_->Record(new_id, {{}, parent_id, map, op_name});
   for (const auto& worker : cluster_->workers()) {
     HV_RETURN_IF_ERROR(worker->ApplyMap(parent_id, new_id, map, op_name));
   }
   redo_log_.Append("map", parent_id + " -> " + new_id, 0);
-  return new_id;
+  return derived;
 }
 
 SketchOptions RootSession::QueryOptions(uint64_t seed,
@@ -102,7 +104,8 @@ class RootSession::Query : public std::enable_shared_from_this<Query> {
         seed_(seed),
         token_(std::move(token)),
         partials_(partials),
-        flight_key_(std::move(flight_key)) {}
+        flight_key_(std::move(flight_key)),
+        pin_(cluster_->Pin(dataset_id_)) {}
 
   /// Runs on the caller's thread, which admission may block; returns once
   /// the first attempt is under way or the query has settled.
@@ -201,12 +204,13 @@ class RootSession::Query : public std::enable_shared_from_this<Query> {
 
   /// Publishes a full-coverage result to the cache flight (anything else
   /// releases it empty, so a waiting session recomputes), charges the bytes
-  /// the query moved to its session, frees the grant, and only then
-  /// completes the stream.
+  /// the query moved to its session, frees the grant, releases its pin on
+  /// the dataset id, and only then completes the stream.
   void Settle(Status status) EXCLUDES(mutex_) {
     std::optional<AnySummary> publish;
     std::string flight_key;
     QueryScheduler::Grant grant;
+    PinnedId pin;
     uint64_t bytes_up_before = 0;
     {
       MutexLock lock(mutex_);
@@ -220,6 +224,7 @@ class RootSession::Query : public std::enable_shared_from_this<Query> {
       }
       flight_key.swap(flight_key_);
       grant = std::move(grant_);
+      pin = std::move(pin_);
       bytes_up_before = bytes_up_before_;
     }
     if (!flight_key.empty()) {
@@ -235,6 +240,9 @@ class RootSession::Query : public std::enable_shared_from_this<Query> {
           static_cast<int64_t>(bytes_up - bytes_up_before));
       grant.reset();
     }
+    // The last pin of a view dropped before its query settled: the id
+    // leaves every worker now, and the stream's caller finds it gone.
+    pin = PinnedId();
     out_->OnComplete(status);
   }
 
@@ -251,6 +259,8 @@ class RootSession::Query : public std::enable_shared_from_this<Query> {
   mutable Mutex mutex_;
   std::string flight_key_ GUARDED_BY(mutex_);
   QueryScheduler::Grant grant_ GUARDED_BY(mutex_);
+  /// Keeps a derived id (and its lineage, which heals it) until Settle.
+  PinnedId pin_ GUARDED_BY(mutex_);
   uint64_t bytes_up_before_ GUARDED_BY(mutex_) = 0;
   bool degraded_pass_ GUARDED_BY(mutex_) = false;
   double shown_progress_ GUARDED_BY(mutex_) = 0.0;

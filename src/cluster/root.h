@@ -52,9 +52,9 @@ namespace cluster {
 /// the shared cache or the health stats. A superseded query keeps its grant
 /// until it settles; a blocking caller returns at once.
 ///
-/// A running query keeps its session alive, so it may settle after its
-/// caller dropped both stream and session. The Cluster must outlive every
-/// query.
+/// A running query keeps its session alive and pins its dataset id, so it
+/// may settle, with full coverage after a heal, after its caller dropped
+/// stream, view and session. The Cluster must outlive every query.
 class RootSession : public std::enable_shared_from_this<RootSession> {
  public:
   /// Per-query fault-handling + serving observability, filled in by
@@ -81,10 +81,14 @@ class RootSession : public std::enable_shared_from_this<RootSession> {
   /// Derives `<parent>/<op_name>` on every worker by a deterministic
   /// per-partition map (filtering / new columns, §5.6) and records it as the
   /// id's lineage, so a query of the id heals it after a restart. Returns
-  /// the derived dataset id, or Unavailable where a worker lost the parent:
-  /// the map itself does not heal. Logged.
-  Result<std::string> MapDataSet(const std::string& parent_id, TableMap map,
-                                 const std::string& op_name);
+  /// the derived id already pinned (see Cluster): it lives while the handle,
+  /// a copy of it, a running query of it or a derived child does, and the
+  /// last release drops it from every worker. Mapping an id that is live
+  /// rebuilds it on every worker and adds a pin. Returns Unavailable where
+  /// a worker lost the parent, after releasing what it recorded: the map
+  /// itself does not heal. Logged.
+  Result<PinnedId> MapDataSet(const std::string& parent_id, TableMap map,
+                              const std::string& op_name);
 
   /// Runs a sketch to completion: the last value of its query stream (see
   /// the class comment). Its caller reads no partial, so each worker sends

@@ -32,6 +32,15 @@ Status Worker::ApplyMap(const std::string& parent_id,
   return Status::OK();
 }
 
+void Worker::Drop(const std::string& dataset_id) {
+  DataSetPtr dropped;  // freed after the unlock
+  MutexLock lock(mutex_);
+  auto it = datasets_.find(dataset_id);
+  if (it == datasets_.end()) return;
+  dropped = std::move(it->second);
+  datasets_.erase(it);
+}
+
 Result<DataSetPtr> Worker::GetDataSet(const std::string& dataset_id) {
   MutexLock lock(mutex_);
   auto it = datasets_.find(dataset_id);

@@ -73,6 +73,12 @@ class Worker {
   Status ApplyMap(const std::string& parent_id, const std::string& new_id,
                   TableMap map, const std::string& op_name) EXCLUDES(mutex_);
 
+  /// Drops `dataset_id` from this worker and leaves every other id in place:
+  /// Cluster calls it when a derived id's last pin goes. Partition tasks
+  /// already running on it hold their own references, so a superseded scan
+  /// finishes and frees its tables when it ends. A missing id is a no-op.
+  void Drop(const std::string& dataset_id) EXCLUDES(mutex_);
+
   /// The worker-local dataset tree for `dataset_id`, or Unavailable.
   Result<DataSetPtr> GetDataSet(const std::string& dataset_id)
       EXCLUDES(mutex_);

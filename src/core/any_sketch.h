@@ -74,6 +74,7 @@ class AnySketch {
   std::vector<uint8_t> Serialize(const AnySummary& s) const {
     return impl_->serialize(s);
   }
+  /// Decodes a summary and checks it fits this sketch (Sketch::CheckShape).
   Result<AnySummary> Deserialize(const std::vector<uint8_t>& bytes) const {
     return impl_->deserialize(bytes);
   }
@@ -122,6 +123,7 @@ class AnySketch {
       ByteReader r(bytes);
       R value;
       HV_RETURN_IF_ERROR(R::Deserialize(&r, &value));
+      HV_RETURN_IF_ERROR(sketch->CheckShape(value));
       return AnySummary::Wrap<R>(std::move(value));
     }
 

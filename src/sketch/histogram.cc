@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <string>
 
 #include "storage/scan.h"
 
@@ -46,6 +47,18 @@ HistogramResult MergeHistograms(const HistogramResult& left,
 }
 
 namespace {
+
+// Whether `summary` is zero or holds one count per bucket of `buckets`.
+Status CheckHistogramShape(const HistogramResult& summary,
+                           const Buckets& buckets) {
+  if (summary.IsZero() ||
+      summary.counts.size() == static_cast<size_t>(buckets.count())) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      std::to_string(summary.counts.size()) + " counts for " +
+      std::to_string(buckets.count()) + " buckets");
+}
 
 // Equi-width tally over native numeric values. The scan layer never forwards
 // NaN (it counts as missing), so OnValue only sees orderable doubles; ±inf
@@ -212,6 +225,11 @@ HistogramResult StreamingHistogramSketch::Summarize(const Table& table,
   return result;
 }
 
+Status StreamingHistogramSketch::CheckShape(
+    const HistogramResult& summary) const {
+  return CheckHistogramShape(summary, buckets_);
+}
+
 HistogramResult StreamingHistogramSketch::Merge(
     const HistogramResult& left, const HistogramResult& right) const {
   return MergeHistograms(left, right);
@@ -231,6 +249,11 @@ HistogramResult SampledHistogramSketch::Summarize(const Table& table,
   HistogramResult result;
   TallyHistogram(table, column_, buckets_, rate_, seed, &result);
   return result;
+}
+
+Status SampledHistogramSketch::CheckShape(
+    const HistogramResult& summary) const {
+  return CheckHistogramShape(summary, buckets_);
 }
 
 HistogramResult SampledHistogramSketch::Merge(

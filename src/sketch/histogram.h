@@ -58,6 +58,8 @@ class StreamingHistogramSketch final : public Sketch<HistogramResult> {
   /// into row ranges reorders only integer increments.
   bool MorselMergeExact() const override { return true; }
 
+  Status CheckShape(const HistogramResult& summary) const override;
+
   const Buckets& buckets() const { return buckets_; }
 
  private:
@@ -87,6 +89,8 @@ class SampledHistogramSketch final : public Sketch<HistogramResult> {
   /// tallies); below 1 the geometric skip sequence restarts per morsel, so
   /// the sampled row set — and thus the counts — would change.
   bool MorselMergeExact() const override { return rate_ >= 1.0; }
+
+  Status CheckShape(const HistogramResult& summary) const override;
 
   double rate() const { return rate_; }
   const Buckets& buckets() const { return buckets_; }

@@ -1,6 +1,7 @@
 #include "sketch/histogram2d.h"
 
 #include <cassert>
+#include <string>
 
 #include "sketch/bucket_mapper.h"
 #include "storage/scan.h"
@@ -24,6 +25,14 @@ Status Histogram2DResult::Deserialize(ByteReader* r, Histogram2DResult* out) {
   HV_RETURN_IF_ERROR(r->ReadI32(&out->y_buckets));
   HV_RETURN_IF_ERROR(r->ReadWords(&out->xy));
   HV_RETURN_IF_ERROR(r->ReadWords(&out->x_counts));
+  // Merges index one operand by the other's lengths.
+  if (out->x_buckets < 0 || out->y_buckets < 0 ||
+      out->xy.size() != static_cast<uint64_t>(out->x_buckets) *
+                            static_cast<uint64_t>(out->y_buckets) ||
+      out->x_counts.size() != static_cast<size_t>(out->x_buckets) ||
+      (out->xy.empty() && !out->x_counts.empty())) {
+    return Status::InvalidArgument("2D counts do not fit their buckets");
+  }
   HV_RETURN_IF_ERROR(r->ReadI64(&out->missing_x));
   HV_RETURN_IF_ERROR(r->ReadI64(&out->missing_y));
   HV_RETURN_IF_ERROR(r->ReadI64(&out->out_of_range));
@@ -52,6 +61,18 @@ Histogram2DResult MergeHistogram2D(const Histogram2DResult& left,
 }
 
 namespace {
+
+// Whether `g` is zero or a grid of `x` by `y` buckets (Deserialize has
+// checked that its vectors fit the shape it declares).
+Status CheckGridShape(const Histogram2DResult& g, int x, int y) {
+  if (g.IsZero() || (g.x_buckets == x && g.y_buckets == y)) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      std::to_string(g.x_buckets) + "x" + std::to_string(g.y_buckets) +
+      " counts for " + std::to_string(x) + "x" + std::to_string(y) +
+      " buckets");
+}
 
 // Initializes the grid shape of a 2D result.
 void InitGrid(int bx, int by, double rate, Histogram2DResult* out) {
@@ -97,6 +118,10 @@ std::string Histogram2DSketch::name() const {
 Histogram2DResult Histogram2DSketch::Summarize(const Table& table,
                                                uint64_t seed) const {
   Histogram2DResult result;
+  // A grid without cells (a string axis with no values) is the zero
+  // summary: bar totals beside an empty grid would read as zero to every
+  // merge, and decoders reject them.
+  if (x_buckets_.count() == 0 || y_buckets_.count() == 0) return result;
   InitGrid(x_buckets_.count(), y_buckets_.count(), rate_, &result);
   ColumnPtr xcol = table.GetColumnOrNull(x_column_);
   ColumnPtr ycol = table.GetColumnOrNull(y_column_);
@@ -111,6 +136,10 @@ Histogram2DResult Histogram2DSketch::Summarize(const Table& table,
   };
   ScanRows(*table.members(), rate_, seed, tally);
   return result;
+}
+
+Status Histogram2DSketch::CheckShape(const Histogram2DResult& summary) const {
+  return CheckGridShape(summary, x_buckets_.count(), y_buckets_.count());
 }
 
 Histogram2DResult Histogram2DSketch::Merge(
@@ -149,6 +178,8 @@ std::string TrellisSketch::name() const {
 TrellisResult TrellisSketch::Summarize(const Table& table,
                                        uint64_t seed) const {
   TrellisResult result;
+  // As in Histogram2DSketch: grids without cells make the zero summary.
+  if (x_buckets_.count() == 0 || y_buckets_.count() == 0) return result;
   result.groups.resize(w_buckets_.count());
   for (auto& g : result.groups) {
     InitGrid(x_buckets_.count(), y_buckets_.count(), rate_, &g);
@@ -178,6 +209,20 @@ TrellisResult TrellisSketch::Summarize(const Table& table,
   };
   ScanRows(*table.members(), rate_, seed, tally);
   return result;
+}
+
+Status TrellisSketch::CheckShape(const TrellisResult& summary) const {
+  if (summary.IsZero()) return Status::OK();
+  if (summary.groups.size() != static_cast<size_t>(w_buckets_.count())) {
+    return Status::InvalidArgument(
+        std::to_string(summary.groups.size()) + " groups for " +
+        std::to_string(w_buckets_.count()) + " buckets");
+  }
+  for (const Histogram2DResult& group : summary.groups) {
+    HV_RETURN_IF_ERROR(
+        CheckGridShape(group, x_buckets_.count(), y_buckets_.count()));
+  }
+  return Status::OK();
 }
 
 TrellisResult TrellisSketch::Merge(const TrellisResult& left,

@@ -36,6 +36,9 @@ struct Histogram2DResult {
   }
 
   void Serialize(ByteWriter* w) const;
+  /// Rejects counts that do not fit the declared buckets: a negative bucket
+  /// count, `xy` not `x_buckets * y_buckets` long, `x_counts` not
+  /// `x_buckets` long, or `x_counts` beside an empty `xy`.
   static Status Deserialize(ByteReader* r, Histogram2DResult* out);
 };
 
@@ -63,6 +66,8 @@ class Histogram2DSketch final : public Sketch<Histogram2DResult> {
   /// Pointwise integer adds; exact under splitting only when streaming
   /// (sampling skips restart per morsel).
   bool MorselMergeExact() const override { return rate_ >= 1.0; }
+
+  Status CheckShape(const Histogram2DResult& summary) const override;
 
   double rate() const { return rate_; }
 
@@ -116,6 +121,8 @@ class TrellisSketch final : public Sketch<TrellisResult> {
 
   /// Same rule as Histogram2DSketch: per-group integer adds.
   bool MorselMergeExact() const override { return rate_ >= 1.0; }
+
+  Status CheckShape(const TrellisResult& summary) const override;
 
  private:
   std::string w_column_;

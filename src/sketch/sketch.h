@@ -7,6 +7,7 @@
 
 #include "storage/table.h"
 #include "util/cancellation.h"
+#include "util/status.h"
 
 namespace hillview {
 
@@ -108,6 +109,16 @@ class Sketch {
   /// decrements), and anything that recomputes over merged state. Default
   /// is the safe answer.
   virtual bool MorselMergeExact() const { return false; }
+
+  /// Whether a summary decoded from another machine has the shape this
+  /// sketch's own summaries have (e.g. one count per bucket), so merging it
+  /// never indexes past a shorter operand. The zero summary always fits.
+  /// The root checks every summary it decodes and drops one that does not
+  /// fit like a corrupt frame. The default accepts any summary.
+  virtual Status CheckShape(const R& summary) const {
+    (void)summary;
+    return Status::OK();
+  }
 };
 
 template <typename R>

@@ -21,7 +21,7 @@ std::string RangeOpName(const std::string& column, double lo, double hi) {
 }  // namespace
 
 uint64_t Spreadsheet::NextSeed() {
-  return MixSeed(HashBytes(dataset_id_.data(), dataset_id_.size()),
+  return MixSeed(HashBytes(dataset_id().data(), dataset_id().size()),
                  ++seed_counter_);
 }
 
@@ -268,10 +268,10 @@ Result<Spreadsheet> Spreadsheet::FilterRange(const std::string& column,
     return table->WithMembership(
         FilterRangeMembership(*col, *table->members(), lo, hi));
   };
-  HV_ASSIGN_OR_RETURN(std::string new_id,
-                      session_->MapDataSet(dataset_id_, std::move(map),
+  HV_ASSIGN_OR_RETURN(cluster::PinnedId view,
+                      session_->MapDataSet(dataset_id(), std::move(map),
                                            RangeOpName(column, lo, hi)));
-  return Spreadsheet(session_, new_id, screen_);
+  return Spreadsheet(session_, std::move(view), screen_);
 }
 
 Result<Spreadsheet> Spreadsheet::FilterEquals(const std::string& column,
@@ -297,10 +297,10 @@ Result<Spreadsheet> Spreadsheet::FilterEquals(const std::string& column,
         FilterEqualsCodeMembership(*col, *table->members(), code));
   };
   HV_ASSIGN_OR_RETURN(
-      std::string new_id,
-      session_->MapDataSet(dataset_id_, std::move(map),
+      cluster::PinnedId view,
+      session_->MapDataSet(dataset_id(), std::move(map),
                            "filter-eq(" + column + "=" + value + ")"));
-  return Spreadsheet(session_, new_id, screen_);
+  return Spreadsheet(session_, std::move(view), screen_);
 }
 
 Result<Spreadsheet> Spreadsheet::FilterMatches(const std::string& column,
@@ -324,11 +324,11 @@ Result<Spreadsheet> Spreadsheet::FilterMatches(const std::string& column,
         FilterMatchedCodesMembership(*col, *table->members(), match));
   };
   HV_ASSIGN_OR_RETURN(
-      std::string new_id,
-      session_->MapDataSet(dataset_id_, std::move(map),
+      cluster::PinnedId view,
+      session_->MapDataSet(dataset_id(), std::move(map),
                            "filter-match(" + column + "~" +
                                filter.ToString() + ")"));
-  return Spreadsheet(session_, new_id, screen_);
+  return Spreadsheet(session_, std::move(view), screen_);
 }
 
 Result<Spreadsheet> Spreadsheet::WithColumn(
@@ -361,11 +361,11 @@ Result<Spreadsheet> Spreadsheet::WithColumn(
   // The function has no name to put in the id, so each map gets its own.
   const uint64_t serial = session_->cluster()->NextOpSerial();
   HV_ASSIGN_OR_RETURN(
-      std::string new_id,
-      session_->MapDataSet(dataset_id_, std::move(map),
+      cluster::PinnedId view,
+      session_->MapDataSet(dataset_id(), std::move(map),
                            "with-column(" + new_column + ")#" +
                                std::to_string(serial)));
-  return Spreadsheet(session_, new_id, screen_);
+  return Spreadsheet(session_, std::move(view), screen_);
 }
 
 Result<SaveResult> Spreadsheet::SaveAs(const std::string& directory,
@@ -383,7 +383,7 @@ Result<StreamPtr<PartialResult<HistogramResult>>> Spreadsheet::HistogramStream(
       HistogramSampleSize(screen_.height, bucket_count),
       static_cast<uint64_t>(range.TotalRows()));
   return session_->RunSketchStream<HistogramResult>(
-      dataset_id_,
+      dataset_id(),
       std::make_shared<SampledHistogramSketch>(column, std::move(buckets),
                                                rate),
       NextSeed(), std::move(token));

@@ -32,15 +32,23 @@ namespace hillview {
 ///
 /// Derived views (Filter*, WithColumn) return new Spreadsheet objects whose
 /// data is lazy soft state on the workers, reconstructible from its lineage.
+/// A view pins its dataset id (cluster::PinnedId): a derived id lives while
+/// this view, a copy of it (copies share one pin), a view derived from it
+/// or a query of it does, and the last release drops it from every worker.
 class Spreadsheet {
  public:
-  Spreadsheet(cluster::RootSession* session, std::string dataset_id,
+  /// A view of `dataset_id`, pinned if it is a live derived id; a base id
+  /// needs no pin, and may be loaded after the view is made.
+  Spreadsheet(cluster::RootSession* session, const std::string& dataset_id,
               ScreenResolution screen)
-      : session_(session),
-        dataset_id_(std::move(dataset_id)),
-        screen_(screen) {}
+      : Spreadsheet(session, session->cluster()->Pin(dataset_id), screen) {}
 
-  const std::string& dataset_id() const { return dataset_id_; }
+  /// A view of an id pinned already (RootSession::MapDataSet's result).
+  Spreadsheet(cluster::RootSession* session, cluster::PinnedId dataset,
+              ScreenResolution screen)
+      : session_(session), dataset_(std::move(dataset)), screen_(screen) {}
+
+  const std::string& dataset_id() const { return dataset_.id(); }
   const ScreenResolution& screen() const { return screen_; }
   cluster::RootSession* session() const { return session_; }
 
@@ -196,8 +204,8 @@ class Spreadsheet {
   template <typename R>
   Result<R> Run(SketchPtr<R> sketch, uint64_t seed = 0,
                 bool cacheable = false) {
-    Result<R> result = session_->RunSketch<R>(dataset_id_, std::move(sketch),
-                                              seed, cacheable, &last_stats_);
+    Result<R> result = session_->RunSketch<R>(
+        dataset_id(), std::move(sketch), seed, cacheable, &last_stats_);
     if (result.ok()) {
       view_coverage_ = std::min(view_coverage_, last_stats_.coverage);
     }
@@ -205,7 +213,7 @@ class Spreadsheet {
   }
 
   cluster::RootSession* session_;
-  std::string dataset_id_;
+  cluster::PinnedId dataset_;
   ScreenResolution screen_;
   uint64_t seed_counter_ = 0;
   cluster::RootSession::QueryStats last_stats_;

@@ -76,7 +76,7 @@ TEST(Cluster, MapThenSketch) {
       "q1");
   ASSERT_TRUE(derived.ok());
   auto count = tc->root->RunSketch<CountResult>(
-      derived.value(), std::make_shared<CountSketch>());
+      derived.value().id(), std::make_shared<CountSketch>());
   ASSERT_TRUE(count.ok());
   EXPECT_NEAR(count.value().rows, 2500, 300);
 }
@@ -106,7 +106,7 @@ TEST(Cluster, WorkerRestartHealsViaRedoLogReplay) {
       "upper");
   ASSERT_TRUE(derived.ok());
   auto before = tc->root->RunSketch<CountResult>(
-      derived.value(), std::make_shared<CountSketch>());
+      derived.value().id(), std::make_shared<CountSketch>());
   ASSERT_TRUE(before.ok());
 
   tc->root->RestartWorker(1);
@@ -115,7 +115,7 @@ TEST(Cluster, WorkerRestartHealsViaRedoLogReplay) {
   // The query heals transparently: RunSketch rebuilds the base and the map
   // on worker 1 from their lineage and retries.
   auto after = tc->root->RunSketch<CountResult>(
-      derived.value(), std::make_shared<CountSketch>());
+      derived.value().id(), std::make_shared<CountSketch>());
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(after.value().rows, before.value().rows);
   EXPECT_GE(tc->root->redo_log().Size(), 2);
@@ -125,7 +125,7 @@ TEST(Cluster, WorkerRestartHealsViaRedoLogReplay) {
   const int64_t replays = tc->root->redo_log().Snapshot().replays_started;
   tc->root->RestartWorker(2);
   auto stream = tc->root->RunSketchStream<CountResult>(
-      derived.value(), std::make_shared<CountSketch>());
+      derived.value().id(), std::make_shared<CountSketch>());
   auto last = stream->BlockingLast();
   ASSERT_TRUE(stream->final_status().ok())
       << stream->final_status().ToString();
@@ -231,6 +231,7 @@ TEST(Cluster, HealOfABaseRebuildsOnlyTheBase) {
   auto tc = TestCluster::Create(partitions, /*workers=*/2, /*threads=*/2);
   ASSERT_NE(tc, nullptr);
   constexpr int kMaps = 3;
+  std::vector<cluster::PinnedId> maps;  // live, so the heal could see them
   for (int i = 0; i < kMaps; ++i) {
     const double cut = (i + 1) / 4.0;
     auto derived = tc->root->MapDataSet(
@@ -242,6 +243,7 @@ TEST(Cluster, HealOfABaseRebuildsOnlyTheBase) {
         },
         "below" + std::to_string(i));
     ASSERT_TRUE(derived.ok());
+    maps.push_back(derived.Take());
   }
 
   tc->root->RestartWorker(1);
@@ -275,7 +277,8 @@ TEST(Cluster, DerivedIdTwoLevelsDeepHealsOnTheRestartedWorkerOnly) {
   };
   auto upper = tc->root->MapDataSet("counted", range(25, 100), "upper");
   ASSERT_TRUE(upper.ok());
-  auto middle = tc->root->MapDataSet(upper.value(), range(0, 75), "middle");
+  auto middle =
+      tc->root->MapDataSet(upper.value().id(), range(0, 75), "middle");
   ASSERT_TRUE(middle.ok());
 
   auto sketch = std::make_shared<StreamingHistogramSketch>(
@@ -285,25 +288,25 @@ TEST(Cluster, DerivedIdTwoLevelsDeepHealsOnTheRestartedWorkerOnly) {
         AnySummary::Wrap<HistogramResult>(r));
   };
   auto reference =
-      tc->root->RunSketch<HistogramResult>(middle.value(), sketch);
+      tc->root->RunSketch<HistogramResult>(middle.value().id(), sketch);
   ASSERT_TRUE(reference.ok());
   EXPECT_EQ(runs->load(), 6);
   std::vector<DataSetPtr> held;
   for (int w : {0, 2}) {
-    held.push_back(tc->workers[w]->GetDataSet(middle.value()).value());
+    held.push_back(tc->workers[w]->GetDataSet(middle.value().id()).value());
   }
 
   tc->root->RestartWorker(1);
   RootSession::QueryStats stats;
   auto healed = tc->root->RunSketch<HistogramResult>(
-      middle.value(), sketch, /*seed=*/0, /*cacheable=*/false, &stats);
+      middle.value().id(), sketch, /*seed=*/0, /*cacheable=*/false, &stats);
   ASSERT_TRUE(healed.ok()) << healed.status().ToString();
   EXPECT_EQ(stats.coverage, 1.0);
   EXPECT_EQ(bytes_of(healed.value()), bytes_of(reference.value()));
   EXPECT_EQ(runs->load(), 8);  // worker 1's two of six partitions
   EXPECT_EQ(tc->root->redo_log().Snapshot().entries_replayed, 3);
-  EXPECT_EQ(tc->workers[0]->GetDataSet(middle.value()).value(), held[0]);
-  EXPECT_EQ(tc->workers[2]->GetDataSet(middle.value()).value(), held[1]);
+  EXPECT_EQ(tc->workers[0]->GetDataSet(middle.value().id()).value(), held[0]);
+  EXPECT_EQ(tc->workers[2]->GetDataSet(middle.value().id()).value(), held[1]);
 }
 
 // A progressive stream whose first attempt fails after showing partials

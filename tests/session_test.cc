@@ -8,8 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +25,7 @@
 #include "cluster/worker_health.h"
 #include "reactive/observable.h"
 #include "sketch/histogram.h"
+#include "sketch/range_moments.h"
 #include "test_util.h"
 #include "util/stopwatch.h"
 
@@ -602,6 +608,94 @@ TEST(Session, StreamSettlesAfterCallerAndSessionAreGone) {
   auto stats = mt->cluster->scheduler().Snapshot();
   EXPECT_EQ(stats.submitted, 1);
   EXPECT_EQ(stats.completed, 1);
+}
+
+// Sessions derive and drop identical and distinct views of one parent while
+// another thread restarts workers, so pins, releases, maps and heals of one
+// id interleave. A map that meets a restarted worker fails Unavailable (it
+// does not heal); a query of the parent heals it and the map is retried.
+// Every query of a view answers in full, and once every view is dropped no
+// id is left on any worker or on record. HILLVIEW_STRESS_ITERS multiplies
+// the rounds.
+TEST(Session, DerivedViewsRacingRestartsAnswerInFull) {
+  const char* env = std::getenv("HILLVIEW_STRESS_ITERS");
+  const int rounds = 2 * std::max(1, env == nullptr ? 1 : std::atoi(env));
+  constexpr int kSessions = 3;
+  constexpr int kViewsPerSession = 60;
+  std::vector<double> values;
+  Cluster::Options options;
+  options.max_replay_retries = 1000;  // restarts are paced; never degrade
+  for (int round = 0; round < rounds; ++round) {
+    auto mt = MultiTenant::Create(Partitions(&values), kSessions, options);
+    ASSERT_NE(mt, nullptr);
+    // Even views are the same for every session; odd ones are its own.
+    auto bounds = [](int session, int view) {
+      const double lo = 10.0 * (view % 5) + (view % 2 == 0 ? 0 : session + 1);
+      return std::make_pair(lo, lo + 30.0);
+    };
+    std::mutex ids_mutex;
+    std::set<std::string> ids;
+    std::atomic<bool> stop{false};
+    std::atomic<int64_t> restarts{0};
+    std::thread restarter([&] {
+      for (int w = 0; !stop.load(); w = (w + 1) % kWorkers) {
+        mt->workers[w]->Restart();
+        restarts.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::microseconds(500));
+      }
+    });
+    std::vector<std::thread> threads;
+    for (int s = 0; s < kSessions; ++s) {
+      threads.emplace_back([&, s] {
+        RootSession& session = *mt->sessions[s];
+        for (int v = 0; v < kViewsPerSession; ++v) {
+          const auto [lo, hi] = bounds(s, v);
+          TableMap filter = [lo, hi](const TablePtr& t) -> Result<TablePtr> {
+            return t->Filter([t, lo, hi](uint32_t r) {
+              const double x = t->column(0)->GetDouble(r);
+              return x >= lo && x < hi;
+            });
+          };
+          const std::string op = "range(" + std::to_string(lo) + ")";
+          Result<cluster::PinnedId> view =
+              session.MapDataSet("data", filter, op);
+          while (!view.ok()) {
+            ASSERT_EQ(view.status().code(), StatusCode::kUnavailable);
+            ASSERT_TRUE(session
+                            .RunSketch<CountResult>(
+                                "data", std::make_shared<CountSketch>())
+                            .ok());
+            view = session.MapDataSet("data", filter, op);
+          }
+          {
+            std::lock_guard<std::mutex> lock(ids_mutex);
+            ids.insert(view.value().id());
+          }
+          RootSession::QueryStats stats;
+          auto count = session.RunSketch<CountResult>(
+              view.value().id(), std::make_shared<CountSketch>(), /*seed=*/0,
+              /*cacheable=*/false, &stats);
+          ASSERT_TRUE(count.ok()) << count.status().ToString();
+          EXPECT_EQ(stats.coverage, 1.0);
+          int64_t expected = 0;
+          for (double x : values) expected += x >= lo && x < hi ? 1 : 0;
+          EXPECT_EQ(count.value().rows, expected);
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    stop = true;
+    restarter.join();
+    EXPECT_GE(restarts.load(), 1);
+    RecordProperty("round" + std::to_string(round) + "_restarts",
+                   std::to_string(restarts.load()));
+    for (const auto& id : ids) {
+      EXPECT_TRUE(mt->cluster->Partitions(id).empty()) << id;
+      for (const auto& worker : mt->workers) {
+        EXPECT_FALSE(worker->GetDataSet(id).ok()) << id;
+      }
+    }
+  }
 }
 
 // BlockingLast with a cancellation token settles promptly when the token

@@ -56,6 +56,35 @@ TEST(Histogram2D, MissingYCountsInBarTotal) {
   EXPECT_EQ(r.missing_y, 1);
 }
 
+// A string axis without values has no buckets, so the grid has no cells.
+// Its summary is the zero summary, which merges and the wire decoder take,
+// rather than bar totals beside an empty grid, which a merge would drop.
+TEST(Histogram2D, GridWithoutCellsIsTheZeroSummary) {
+  ColumnBuilder bx(DataKind::kDouble), bs(DataKind::kString);
+  bx.AppendDouble(0.5);
+  bx.AppendDouble(0.7);
+  bs.AppendMissing();
+  bs.AppendMissing();
+  TablePtr t = Table::Create(
+      Schema({{"x", DataKind::kDouble}, {"s", DataKind::kString}}),
+      {bx.Finish(), bs.Finish()});
+  const Buckets no_strings(StringBuckets(std::vector<std::string>{}));
+  Histogram2DSketch sketch("x", Buckets(NumericBuckets(0, 1, 2)), "s",
+                           no_strings);
+  Histogram2DResult r = sketch.Summarize(*t, 0);
+  EXPECT_TRUE(r.IsZero());
+  EXPECT_TRUE(r.x_counts.empty());
+  ByteWriter w;
+  r.Serialize(&w);
+  ByteReader reader(w.bytes());
+  Histogram2DResult back;
+  EXPECT_TRUE(Histogram2DResult::Deserialize(&reader, &back).ok());
+
+  TrellisSketch trellis("x", Buckets(NumericBuckets(0, 1, 2)), "x",
+                        Buckets(NumericBuckets(0, 1, 2)), "s", no_strings);
+  EXPECT_TRUE(trellis.Summarize(*t, 0).IsZero());
+}
+
 TEST(Histogram2D, MissingXIgnoresY) {
   ColumnBuilder bx(DataKind::kDouble), by(DataKind::kDouble);
   bx.AppendMissing();

@@ -16,6 +16,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/any_sketch.h"
 #include "sketch/find_text.h"
 #include "sketch/heavy_hitters.h"
 #include "sketch/histogram.h"
@@ -352,6 +353,104 @@ TEST(WireRobustness, Trellis) {
   t.missing_w = 4;
   t.out_of_range_w = 1;
   CheckWire(t, "TrellisResult");
+}
+
+/// Serializes `value` and decodes it as its own type.
+template <typename R>
+Status Redecode(const R& value) {
+  ByteWriter w;
+  value.Serialize(&w);
+  ByteReader r(w.bytes());
+  R back;
+  return R::Deserialize(&r, &back);
+}
+
+/// Serializes `value` and decodes it the way the root decodes a worker's
+/// summary: for the sketch that asked for it.
+template <typename R>
+Status RedecodeFor(const std::shared_ptr<const Sketch<R>>& sketch,
+                   const R& value) {
+  const AnySketch erased = AnySketch::Wrap<R>(sketch);
+  return erased.Deserialize(erased.Serialize(AnySummary::Wrap<R>(value)))
+      .status();
+}
+
+// Merges index the right operand by the left one's lengths, so a count
+// vector that does not fit the buckets of the sketch that asked for it is
+// refused where the root decodes it. The zero summary always fits.
+TEST(WireRobustness, HistogramCountsMustFitTheSketchBuckets) {
+  auto sketch = std::make_shared<StreamingHistogramSketch>(
+      "x", Buckets(NumericBuckets(0, 8, 8)));
+  HistogramResult two;
+  two.counts = {1, 2};
+  two.rows_scanned = 3;
+  EXPECT_TRUE(Redecode(two).ok());  // well-formed on its own
+  EXPECT_EQ(RedecodeFor<HistogramResult>(sketch, two).code(),
+            StatusCode::kInvalidArgument);
+  HistogramResult eight;
+  eight.counts.assign(8, 1);
+  EXPECT_TRUE(RedecodeFor<HistogramResult>(sketch, eight).ok());
+  EXPECT_TRUE(RedecodeFor<HistogramResult>(sketch, HistogramResult{}).ok());
+  auto sampled = std::make_shared<SampledHistogramSketch>(
+      "x", Buckets(NumericBuckets(0, 8, 8)), 0.5);
+  EXPECT_FALSE(RedecodeFor<HistogramResult>(sampled, two).ok());
+}
+
+TEST(WireRobustness, Histogram2DCountsMustFitTheirBuckets) {
+  ASSERT_TRUE(Redecode(MakeGrid()).ok());
+  Histogram2DResult cell_short = MakeGrid();
+  cell_short.xy.pop_back();
+  EXPECT_EQ(Redecode(cell_short).code(), StatusCode::kInvalidArgument);
+  Histogram2DResult bar_short = MakeGrid();
+  bar_short.x_counts.pop_back();
+  EXPECT_FALSE(Redecode(bar_short).ok());
+  Histogram2DResult negative = MakeGrid();
+  negative.x_buckets = -2;
+  negative.y_buckets = -3;
+  EXPECT_FALSE(Redecode(negative).ok());
+  Histogram2DResult bars_only;  // zero by its cells, not by its bars
+  bars_only.x_buckets = 2;
+  bars_only.x_counts = {1, 2};
+  EXPECT_FALSE(Redecode(bars_only).ok());
+  EXPECT_TRUE(Redecode(Histogram2DResult{}).ok());
+
+  // A well-formed 2x2 grid for a 2x3 sketch.
+  auto sketch = std::make_shared<Histogram2DSketch>(
+      "x", Buckets(NumericBuckets(0, 1, 2)), "y",
+      Buckets(NumericBuckets(0, 1, 3)));
+  Histogram2DResult narrow;
+  narrow.x_buckets = 2;
+  narrow.y_buckets = 2;
+  narrow.xy = {1, 0, 4, 2};
+  narrow.x_counts = {1, 6};
+  ASSERT_TRUE(Redecode(narrow).ok());
+  EXPECT_FALSE(RedecodeFor<Histogram2DResult>(sketch, narrow).ok());
+  EXPECT_TRUE(RedecodeFor<Histogram2DResult>(sketch, MakeGrid()).ok());
+  EXPECT_TRUE(
+      RedecodeFor<Histogram2DResult>(sketch, Histogram2DResult{}).ok());
+}
+
+TEST(WireRobustness, TrellisGroupsMustFitTheirBuckets) {
+  TrellisResult cell_short;
+  cell_short.groups = {MakeGrid(), MakeGrid()};
+  cell_short.groups[1].xy.pop_back();
+  EXPECT_FALSE(Redecode(cell_short).ok());
+
+  auto sketch = std::make_shared<TrellisSketch>(
+      "w", Buckets(NumericBuckets(0, 1, 2)), "x",
+      Buckets(NumericBuckets(0, 1, 2)), "y", Buckets(NumericBuckets(0, 1, 3)));
+  TrellisResult fits;
+  fits.groups = {MakeGrid(), Histogram2DResult{}};
+  EXPECT_TRUE(RedecodeFor<TrellisResult>(sketch, fits).ok());
+  EXPECT_TRUE(RedecodeFor<TrellisResult>(sketch, TrellisResult{}).ok());
+  TrellisResult extra_group = fits;
+  extra_group.groups.push_back(MakeGrid());
+  EXPECT_FALSE(RedecodeFor<TrellisResult>(sketch, extra_group).ok());
+  TrellisResult wide_group = fits;
+  wide_group.groups[1] = MakeGrid();
+  wide_group.groups[1].y_buckets = 2;
+  wide_group.groups[1].xy = {1, 0, 4, 2};
+  EXPECT_FALSE(RedecodeFor<TrellisResult>(sketch, wide_group).ok());
 }
 
 TEST(WireRobustness, HeavyHitters) {
