@@ -78,13 +78,12 @@ void Run() {
     ThreadPool pool(std::max(leaves, hw_threads > 0 ? hw_threads : 1));
     std::vector<DataSetPtr> children;
     for (int l = 0; l < leaves; ++l) {
-      children.push_back(LocalDataSet::FromTable(
-          "leaf" + std::to_string(l), MakeShard(MixSeed(5, l),
-                                                rows_per_leaf)));
+      children.push_back(
+          LocalDataSet::FromTable(MakeShard(MixSeed(5, l), rows_per_leaf)));
     }
     ParallelDataSet::Options options;
     options.progressive = false;
-    ParallelDataSet dataset("bench", std::move(children), &pool, options);
+    ParallelDataSet dataset(std::move(children), &pool, options);
 
     uint64_t total_rows = static_cast<uint64_t>(leaves) * rows_per_leaf;
     double rate =

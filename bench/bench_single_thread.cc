@@ -393,7 +393,7 @@ void BM_NextItemsScrollCacheCold(benchmark::State& state) {
                          std::vector<Value>{Value(500.0)}, 100);
   SortKeyCache cache;
   SketchContext context;
-  context.key_cache = [&cache] { return &cache; };
+  context.key_cache = &cache;
   for (auto _ : state) {
     cache.Clear();
     NextItemsResult r = sketch.Summarize(*t, 0, context);
@@ -409,7 +409,7 @@ void BM_NextItemsScrollCacheWarm(benchmark::State& state) {
                          std::vector<Value>{Value(500.0)}, 100);
   SortKeyCache cache;
   SketchContext context;
-  context.key_cache = [&cache] { return &cache; };
+  context.key_cache = &cache;
   // Prime the cache: the measured iterations are all repeat scrolls.
   benchmark::DoNotOptimize(sketch.Summarize(*t, 0, context).rows.data());
   for (auto _ : state) {
@@ -488,7 +488,7 @@ void BM_NextItemsTwoColumnPackedStartKey(benchmark::State& state) {
       std::vector<Value>{Value(int64_t{100}), Value(int64_t{500'000})}, 100);
   SortKeyCache cache;
   SketchContext context;
-  context.key_cache = [&cache] { return &cache; };
+  context.key_cache = &cache;
   benchmark::DoNotOptimize(sketch.Summarize(*t, 0, context).rows.data());
   for (auto _ : state) {
     NextItemsResult r = sketch.Summarize(*t, 0, context);

@@ -128,15 +128,13 @@ class DataSetRegistry : public std::enable_shared_from_this<DataSetRegistry> {
     if (lineage.parent.empty()) {
       // Round-robin placement: the paper allows arbitrary horizontal
       // partitioning (§2), so it needs no keying.
-      std::vector<std::shared_ptr<LocalDataSet>> partitions;
+      std::vector<LocalDataSet::Loader> loaders;
       for (size_t p = w; p < lineage.loaders.size(); p += workers_.size()) {
-        partitions.push_back(LocalDataSet::FromLoader(
-            dataset_id + "[" + std::to_string(p) + "]", lineage.loaders[p]));
+        loaders.push_back(lineage.loaders[p]);
       }
-      worker.RegisterBase(dataset_id, std::move(partitions));
+      worker.RegisterBase(dataset_id, std::move(loaders));
     } else if (!HealOn(w, lineage.parent, rebuilt) ||
-               !worker.ApplyMap(lineage.parent, dataset_id, lineage.map,
-                                lineage.op_name)
+               !worker.ApplyMap(lineage.parent, dataset_id, lineage.map)
                     .ok()) {
       return false;
     }

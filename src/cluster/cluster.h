@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "cluster/network.h"
+#include "cluster/remote_dataset.h"
 #include "cluster/scheduler.h"
 #include "cluster/worker.h"
 #include "cluster/worker_health.h"
@@ -94,11 +95,10 @@ class Cluster {
     /// other retriable way, gets one degraded pass that tolerates lost
     /// workers and returns a coverage-marked partial result (§5.7).
     int max_replay_retries = 2;
-    /// Per-RPC deadline/retry policy handed to every machine-boundary edge:
-    /// the only place transport faults are retried.
-    SketchOptions::RpcPolicy rpc{/*deadline_ms=*/0.0, /*max_retries=*/2,
-                                 /*backoff_base_ms=*/1.0,
-                                 /*backoff_cap_ms=*/50.0};
+    /// Per-RPC deadline/retry policy built into every machine-boundary edge
+    /// (RemoteDataSet): the only place transport faults are retried.
+    RpcPolicy rpc{/*deadline_ms=*/0.0, /*max_retries=*/2,
+                  /*backoff_base_ms=*/1.0, /*backoff_cap_ms=*/50.0};
     /// Circuit-breaker tuning for the per-worker health tracker.
     WorkerHealth::Options health;
     /// Fair-scheduling and admission-control tuning.
@@ -145,7 +145,6 @@ class Cluster {
     std::vector<LocalDataSet::Loader> loaders;
     std::string parent;  // empty for a base id
     TableMap map;
-    std::string op_name;
   };
 
   /// Records (or replaces) the lineage of `dataset_id`. A derived id comes

@@ -20,8 +20,9 @@ namespace cluster {
 /// root-received byte counter reproduces the paper's bandwidth measurement
 /// (Fig 5 bottom: "how many bytes the root node received").
 ///
-/// Optionally applies a latency + bandwidth delay per message so end-to-end
-/// benchmarks can model a 10 Gbps / sub-millisecond datacenter network.
+/// Optionally sleeps a fixed latency per message (plus any latency spike the
+/// fault injector adds), so tests can widen the window in which a query is
+/// in flight.
 ///
 /// Thread-safe: counters are relaxed atomics (independent monotone tallies);
 /// the delay model is guarded by a mutex so set_model() can retune a live
@@ -31,8 +32,7 @@ namespace cluster {
 class SimulatedNetwork {
  public:
   struct Model {
-    double latency_ms = 0.0;            // per message
-    double bandwidth_bytes_per_sec = 0; // 0 = infinite
+    double latency_ms = 0.0;  // per message
   };
 
   /// Per-session traffic tally: what one tenant's queries moved over the
@@ -86,7 +86,7 @@ class SimulatedNetwork {
       t.bytes_down += bytes;
     }
     const FaultVerdict verdict = JudgeSend(worker, Direction::kDown);
-    Delay(bytes, verdict.extra_latency_ms);
+    Delay(verdict.extra_latency_ms);
     return verdict;
   }
 
@@ -103,7 +103,7 @@ class SimulatedNetwork {
       t.bytes_up += bytes;
     }
     const FaultVerdict verdict = JudgeSend(worker, Direction::kUp);
-    Delay(bytes, verdict.extra_latency_ms);
+    Delay(verdict.extra_latency_ms);
     return verdict;
   }
 
@@ -149,20 +149,17 @@ class SimulatedNetwork {
     return injector->Judge(worker, direction);
   }
 
-  void Delay(uint64_t bytes, double extra_latency_ms = 0.0)
-      EXCLUDES(model_mutex_) {
+  void Delay(double extra_latency_ms) EXCLUDES(model_mutex_) {
     Model model;
     {
       // Copy under the lock; the sleep itself must not serialize senders.
       MutexLock lock(model_mutex_);
       model = model_;
     }
-    double seconds = model.latency_ms / 1e3 + extra_latency_ms / 1e3;
-    if (model.bandwidth_bytes_per_sec > 0) {
-      seconds += static_cast<double>(bytes) / model.bandwidth_bytes_per_sec;
-    }
-    if (seconds > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+    const double ms = model.latency_ms + extra_latency_ms;
+    if (ms > 0) {
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::milli>(ms));
     }
   }
 

@@ -36,8 +36,8 @@ void CorruptBytes(std::vector<uint8_t>* bytes, uint64_t corrupt_seed) {
 /// Capped exponential backoff with deterministic seeded jitter in
 /// [0.5, 1.0)x. Pure in (seed, worker, attempt): replays of the same seeded
 /// schedule back off identically.
-double BackoffMs(const SketchOptions::RpcPolicy& rpc, uint64_t seed,
-                 int worker, int attempt) {
+double BackoffMs(const RpcPolicy& rpc, uint64_t seed, int worker,
+                 int attempt) {
   double ms = rpc.backoff_base_ms;
   for (int i = 1; i < attempt; ++i) ms *= 2.0;
   ms = std::min(ms, rpc.backoff_cap_ms);
@@ -53,26 +53,26 @@ bool IsDeadline(const Status& s) {
   return s.code() == StatusCode::kDeadlineExceeded;
 }
 
-/// One remote sketch RPC with deadline + bounded retry. Each attempt gets an
-/// epoch number; events from a superseded attempt (late partials of a timed-
-/// out run) are rejected by epoch so the output stream only ever sees one
-/// coherent attempt. Retrying a sketch is safe: sketches are pure functions
-/// of (data, seed), so a re-run returns byte-identical summaries.
+}  // namespace
+
+/// One remote sketch RPC with deadline + bounded retry, reading its worker,
+/// channel, breaker, policy and session from the edge it runs on. Each
+/// attempt gets an epoch number; events from a superseded attempt (late
+/// partials of a timed-out run) are rejected by epoch so the output stream
+/// only ever sees one coherent attempt. Retrying a sketch is safe: sketches
+/// are pure functions of (data, seed), so a re-run returns byte-identical
+/// summaries.
 ///
-/// Lifetime: shared_from_this keeps the driver alive inside the worker
-/// stream's callbacks; when the last attempt settles, the callbacks' copies
-/// are the only remaining owners and the driver dies with its worker stream.
-class RpcDriver : public std::enable_shared_from_this<RpcDriver> {
+/// Lifetime: shared_from_this keeps the driver (and with it the edge) alive
+/// inside the worker stream's callbacks; when the last attempt settles, the
+/// callbacks' copies are the only remaining owners and the driver dies with
+/// its worker stream.
+class RemoteDataSet::RpcDriver
+    : public std::enable_shared_from_this<RpcDriver> {
  public:
-  RpcDriver(WorkerPtr worker, std::string dataset_id,
-            SimulatedNetwork* network, int worker_index, WorkerHealth* health,
-            AnySketch sketch, SketchOptions options,
-            StreamPtr<PartialResult<AnySummary>> out)
-      : worker_(std::move(worker)),
-        dataset_id_(std::move(dataset_id)),
-        network_(network),
-        worker_index_(worker_index),
-        health_(health),
+  RpcDriver(std::shared_ptr<const RemoteDataSet> edge, AnySketch sketch,
+            SketchOptions options, StreamPtr<PartialResult<AnySummary>> out)
+      : edge_(std::move(edge)),
         sketch_(std::move(sketch)),
         options_(std::move(options)),
         out_(std::move(out)) {}
@@ -89,9 +89,9 @@ class RpcDriver : public std::enable_shared_from_this<RpcDriver> {
 
  private:
   void RunAttempt(int epoch) EXCLUDES(mutex_) {
-    const FaultVerdict down =
-        network_->SendDown(kRequestOverheadBytes + sketch_.name().size(),
-                           worker_index_, options_.session_id);
+    const FaultVerdict down = edge_->network_->SendDown(
+        kRequestOverheadBytes + sketch_.name().size(), edge_->worker_index_,
+        edge_->session_id_);
     if (down.action == FaultAction::kDrop ||
         down.action == FaultAction::kCorrupt) {
       // The request never arrives intact: the worker stays silent and the
@@ -99,7 +99,7 @@ class RpcDriver : public std::enable_shared_from_this<RpcDriver> {
       // miss immediately instead of wall-clock-waiting for it. A corrupted
       // request is a dropped one the worker could at least count.
       if (down.action == FaultAction::kCorrupt) {
-        worker_->RecordCorruptMessageDropped();
+        edge_->worker_->RecordCorruptMessageDropped();
       }
       SettleAttempt(epoch,
                     Status::DeadlineExceeded("request lost in transit"));
@@ -109,7 +109,8 @@ class RpcDriver : public std::enable_shared_from_this<RpcDriver> {
     // twice on the worker would double simulated work but return identical
     // bytes, so the model delivers it once.
 
-    auto dataset = worker_->GetDataSet(dataset_id_);
+    Worker* worker = edge_->worker_.get();
+    auto dataset = worker->GetDataSet(edge_->dataset_id_);
     if (!dataset.ok()) {
       // Soft state is gone (worker restarted): not retriable here — only
       // the root's heal can rebuild the dataset.
@@ -124,8 +125,8 @@ class RpcDriver : public std::enable_shared_from_this<RpcDriver> {
     // dying, and a shared_ptr here could make a task closure the last owner
     // and destroy the Worker from its own pool thread (a self-join).
     SketchOptions worker_options = options_;
-    worker_options.aux_pool = [w = worker_.get()] { return w->aux_pool(); };
-    worker_options.key_cache = [w = worker_.get()] { return w->key_cache(); };
+    worker_options.aux_pool = [worker] { return worker->aux_pool(); };
+    worker_options.key_cache = [worker] { return worker->key_cache(); };
     auto worker_stream = dataset.value()->RunSketch(sketch_, worker_options);
     auto self = shared_from_this();
     worker_stream->Subscribe(
@@ -144,9 +145,9 @@ class RpcDriver : public std::enable_shared_from_this<RpcDriver> {
     // Cross the machine boundary: serialize, checksum, charge, deserialize.
     std::vector<uint8_t> bytes = sketch_.Serialize(p.value);
     const uint64_t checksum = HashBytes(bytes.data(), bytes.size());
-    const FaultVerdict up =
-        network_->SendUp(bytes.size() + kFrameOverheadBytes, worker_index_,
-                         options_.session_id);
+    const FaultVerdict up = edge_->network_->SendUp(
+        bytes.size() + kFrameOverheadBytes, edge_->worker_index_,
+        edge_->session_id_);
     if (up.action == FaultAction::kDrop) {
       // The summary vanishes; the attempt's silence becomes a deadline miss
       // when the worker stream completes without a final summary delivered.
@@ -159,15 +160,15 @@ class RpcDriver : public std::enable_shared_from_this<RpcDriver> {
       // Checksum catches the in-transit corruption even when the payload
       // would still deserialize. Corrupt messages are dropped, counted, and
       // healed by the retry layer (the silence turns into a deadline miss).
-      worker_->RecordCorruptMessageDropped();
+      edge_->worker_->RecordCorruptMessageDropped();
       return;
     }
     auto decoded = sketch_.Deserialize(bytes);
     if (!decoded.ok()) {
-      worker_->RecordCorruptMessageDropped();
+      edge_->worker_->RecordCorruptMessageDropped();
       return;
     }
-    const double deadline_ms = options_.rpc.deadline_ms;
+    const double deadline_ms = edge_->rpc_.deadline_ms;
     bool late = false;
     {
       MutexLock lock(mutex_);
@@ -219,7 +220,7 @@ class RpcDriver : public std::enable_shared_from_this<RpcDriver> {
     {
       MutexLock lock(mutex_);
       if (epoch != attempt_ || settled_) return;
-      if (IsDeadline(status) && attempt_ < options_.rpc.max_retries) {
+      if (IsDeadline(status) && attempt_ < edge_->rpc_.max_retries) {
         ++attempt_;
         saw_final_ = false;
         attempt_watch_.Restart();
@@ -229,8 +230,8 @@ class RpcDriver : public std::enable_shared_from_this<RpcDriver> {
       }
     }
     if (next_epoch > 0) {
-      const double backoff = BackoffMs(options_.rpc, options_.seed,
-                                       worker_index_, next_epoch);
+      const double backoff = BackoffMs(edge_->rpc_, options_.seed,
+                                       edge_->worker_index_, next_epoch);
       if (backoff > 0) {
         std::this_thread::sleep_for(
             std::chrono::duration<double, std::milli>(backoff));
@@ -242,35 +243,29 @@ class RpcDriver : public std::enable_shared_from_this<RpcDriver> {
   }
 
   void FinishRpc(const Status& status) {
-    if (health_ != nullptr && worker_index_ >= 0) {
-      if (status.code() == StatusCode::kDeadlineExceeded) {
-        // Only unresponsiveness feeds the breaker: a deadline means the
-        // worker never answered despite the per-RPC retry budget.
-        health_->RecordFailure(worker_index_);
-      } else if (status.code() == StatusCode::kCancelled) {
-        // A superseded render says nothing about the worker either way:
-        // recording success would let a flood of cancelled scrolls hold a
-        // genuinely dead worker's breaker closed, and recording failure
-        // would poison health with client-side churn. Cancellation is
-        // health-neutral.
-      } else {
-        // Any response — including Unavailable (soft state lost after a
-        // crash, healable by the root) or an application error — proves the
-        // worker is alive. Counting healable Unavailable as breaker failure
-        // would trip the circuit on a worker that a heal is about to fix,
-        // and a half-open probe answered with Unavailable must still close
-        // the breaker or every later request fast-fails forever.
-        health_->RecordSuccess(worker_index_);
-      }
+    if (status.code() == StatusCode::kDeadlineExceeded) {
+      // Only unresponsiveness feeds the breaker: a deadline means the
+      // worker never answered despite the per-RPC retry budget.
+      edge_->health_.RecordFailure(edge_->worker_index_);
+    } else if (status.code() == StatusCode::kCancelled) {
+      // A superseded render says nothing about the worker either way:
+      // recording success would let a flood of cancelled scrolls hold a
+      // genuinely dead worker's breaker closed, and recording failure
+      // would poison health with client-side churn. Cancellation is
+      // health-neutral.
+    } else {
+      // Any response — including Unavailable (soft state lost after a
+      // crash, healable by the root) or an application error — proves the
+      // worker is alive. Counting healable Unavailable as breaker failure
+      // would trip the circuit on a worker that a heal is about to fix,
+      // and a half-open probe answered with Unavailable must still close
+      // the breaker or every later request fast-fails forever.
+      edge_->health_.RecordSuccess(edge_->worker_index_);
     }
     out_->OnComplete(status);
   }
 
-  WorkerPtr worker_;
-  const std::string dataset_id_;
-  SimulatedNetwork* network_;
-  const int worker_index_;
-  WorkerHealth* health_;
+  const std::shared_ptr<const RemoteDataSet> edge_;
   const AnySketch sketch_;
   const SketchOptions options_;
   StreamPtr<PartialResult<AnySummary>> out_;
@@ -282,8 +277,6 @@ class RpcDriver : public std::enable_shared_from_this<RpcDriver> {
   Stopwatch attempt_watch_ GUARDED_BY(mutex_);
 };
 
-}  // namespace
-
 StreamPtr<PartialResult<AnySummary>> RemoteDataSet::RunSketch(
     const AnySketch& sketch, const SketchOptions& options) {
   auto out = std::make_shared<Stream<PartialResult<AnySummary>>>();
@@ -293,8 +286,7 @@ StreamPtr<PartialResult<AnySummary>> RemoteDataSet::RunSketch(
     out->OnComplete(Status::Cancelled("cancelled before dispatch"));
     return out;
   }
-  if (health_ != nullptr && worker_index_ >= 0 &&
-      !health_->AllowRequest(worker_index_)) {
+  if (!health_.AllowRequest(worker_index_)) {
     // Circuit open: fast-fail without burning the deadline+retry budget on a
     // known-dead worker. Unavailable keeps the healing semantics — a heal
     // can still resurrect it, and a degraded merger counts it as lost.
@@ -302,32 +294,10 @@ StreamPtr<PartialResult<AnySummary>> RemoteDataSet::RunSketch(
         "worker " + worker_->name() + ": circuit breaker open"));
     return out;
   }
-  auto driver = std::make_shared<RpcDriver>(worker_, dataset_id_, network_,
-                                            worker_index_, health_, sketch,
-                                            options, out);
+  auto driver =
+      std::make_shared<RpcDriver>(shared_from_this(), sketch, options, out);
   driver->Start();
   return out;
-}
-
-DataSetPtr RemoteDataSet::Map(TableMap map, const std::string& op_name) {
-  network_->SendDown(kRequestOverheadBytes + op_name.size(), worker_index_);
-  std::string new_id = dataset_id_ + "/" + op_name;
-  // A failed remote map still returns a proxy: the missing dataset surfaces
-  // as Unavailable on the proxy's first use. This edge records no lineage;
-  // RootSession::MapDataSet does.
-  (void)worker_->ApplyMap(dataset_id_, new_id, std::move(map), op_name);
-  return std::make_shared<RemoteDataSet>(worker_, new_id, network_,
-                                         worker_index_, health_,
-                                         num_partitions_);
-}
-
-int RemoteDataSet::NumPartitions() const {
-  // A worker that restarted has lost the dataset and would answer 1, which
-  // misweighs a degraded merge's coverage; the root's record does not.
-  if (num_partitions_ >= 0) return num_partitions_;
-  auto dataset = worker_->GetDataSet(dataset_id_);
-  if (!dataset.ok()) return 1;
-  return dataset.value()->NumPartitions();
 }
 
 }  // namespace cluster

@@ -12,18 +12,40 @@
 namespace hillview {
 namespace cluster {
 
+/// Deadline/retry policy of a machine-boundary edge (RemoteDataSet), the
+/// only place transport faults are retried. Retrying is safe because
+/// sketches are pure functions of (data, seed): re-running one is
+/// idempotent, and merging a duplicate summary is harmless.
+struct RpcPolicy {
+  /// Per-attempt deadline: a leaf that produced no final summary within
+  /// this window completes kDeadlineExceeded. 0 disables deadlines.
+  double deadline_ms = 0.0;
+  /// Retries per RPC after the first attempt (kDeadlineExceeded only).
+  int max_retries = 0;
+  /// Capped exponential backoff between attempts: attempt n sleeps
+  /// min(cap, base * 2^(n-1)), scaled by deterministic seeded jitter.
+  double backoff_base_ms = 1.0;
+  double backoff_cap_ms = 50.0;
+};
+
 /// Root-side proxy for a dataset hosted on one worker: the machine-boundary
 /// edge of the execution tree (Fig 1). Every partial summary crossing this
 /// edge is serialized with the sketch's wire format, checksummed, charged to
-/// the SimulatedNetwork, and deserialized on the other side — so byte
-/// accounting and wire-format round-trips are faithful even though both
-/// "machines" share a process.
+/// the SimulatedNetwork (and to the edge's session), and deserialized on the
+/// other side — so byte accounting and wire-format round-trips are faithful
+/// even though both "machines" share a process.
+///
+/// The edge is built with everything only it reads: its worker and that
+/// worker's index (the fault-injection channel and breaker slot), the
+/// partitions the root assigned to the worker (its merge weight, which
+/// never depends on what a restarted worker still knows), the root's
+/// breaker, the RPC policy, and the session charged for its bytes.
 ///
 /// The reference is soft (§5.7): if the worker restarted and no longer has
 /// the dataset, RunSketch completes with Unavailable and the root heals the
 /// id on that worker (Cluster::Heal) before its next attempt.
 ///
-/// Fault handling (options.rpc): each attempt is bounded by a deadline — a
+/// Fault handling (RpcPolicy): each attempt is bounded by a deadline — a
 /// leaf that produced no final summary in time completes kDeadlineExceeded —
 /// and deadline misses are retried here with capped exponential backoff and
 /// deterministic seeded jitter, which is safe because sketches are pure
@@ -32,51 +54,41 @@ namespace cluster {
 /// This is the only transport retry: a deadline miss that outlasts it makes
 /// the root degrade the query rather than re-run it. Unavailable is NOT
 /// retried here: it means soft state is gone and only the root's lineage
-/// heal can rebuild it.
-///
-/// When constructed with a WorkerHealth tracker and worker index, the proxy
-/// consults the circuit breaker before each RPC (fast-failing Unavailable
-/// while the breaker is open) and reports each RPC's terminal outcome back.
-class RemoteDataSet final : public IDataSet {
+/// heal can rebuild it. The proxy consults the circuit breaker before each
+/// RPC (fast-failing Unavailable while it is open) and reports each RPC's
+/// terminal outcome back.
+class RemoteDataSet final
+    : public IDataSet,
+      public std::enable_shared_from_this<RemoteDataSet> {
  public:
-  /// `num_partitions` is the count the root assigned to this worker, or -1
-  /// when the root never recorded it; NumPartitions() then asks the worker.
-  RemoteDataSet(WorkerPtr worker, std::string dataset_id,
-                SimulatedNetwork* network, int worker_index = -1,
-                WorkerHealth* health = nullptr, int num_partitions = -1)
+  RemoteDataSet(WorkerPtr worker, int worker_index, std::string dataset_id,
+                int num_partitions, SimulatedNetwork* network,
+                WorkerHealth& health, RpcPolicy rpc, int session_id)
       : worker_(std::move(worker)),
-        dataset_id_(std::move(dataset_id)),
-        id_("remote:" + worker_->name() + "/" + dataset_id_),
-        network_(network),
         worker_index_(worker_index),
+        dataset_id_(std::move(dataset_id)),
+        num_partitions_(num_partitions),
+        network_(network),
         health_(health),
-        num_partitions_(num_partitions) {}
-
-  const std::string& id() const override { return id_; }
+        rpc_(rpc),
+        session_id_(session_id) {}
 
   StreamPtr<PartialResult<AnySummary>> RunSketch(
       const AnySketch& sketch, const SketchOptions& options) override;
 
-  /// Remote map: instructs the worker to derive a new dataset; returns a
-  /// proxy to it. The map closure crossing the boundary is charged a nominal
-  /// request size (closures are code, not data).
-  DataSetPtr Map(TableMap map, const std::string& op_name) override;
-
-  int NumPartitions() const override;
-
-  void Evict() override { worker_->EvictCaches(); }
-
-  const std::string& dataset_id() const { return dataset_id_; }
-  const WorkerPtr& worker() const { return worker_; }
+  int NumPartitions() const override { return num_partitions_; }
 
  private:
-  WorkerPtr worker_;
-  std::string dataset_id_;
-  std::string id_;
-  SimulatedNetwork* network_;
-  int worker_index_;       // channel id for fault injection; -1 = untracked
-  WorkerHealth* health_;   // root's breaker; may be null (no gating)
-  int num_partitions_;     // -1 = unrecorded: ask the worker
+  class RpcDriver;  // one RPC's attempts (remote_dataset.cc)
+
+  const WorkerPtr worker_;
+  const int worker_index_;  // fault-injection channel and breaker slot
+  const std::string dataset_id_;
+  const int num_partitions_;
+  SimulatedNetwork* const network_;
+  WorkerHealth& health_;
+  const RpcPolicy rpc_;
+  const int session_id_;  // charged for the edge's bytes
 };
 
 }  // namespace cluster

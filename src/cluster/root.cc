@@ -10,7 +10,7 @@ Status RootSession::LoadDataSet(
     const std::string& dataset_id,
     std::vector<LocalDataSet::Loader> partition_loaders) {
   const size_t partitions = partition_loaders.size();
-  cluster_->Record(dataset_id, {std::move(partition_loaders), "", {}, ""});
+  cluster_->Record(dataset_id, {std::move(partition_loaders), "", {}});
   cluster_->Heal(dataset_id);
   redo_log_.Append("load",
                    dataset_id + " (" + std::to_string(partitions) +
@@ -25,9 +25,9 @@ Result<PinnedId> RootSession::MapDataSet(const std::string& parent_id,
   std::string new_id = parent_id + "/" + op_name;
   // Pinned before any worker holds it, so no release slips in between; a
   // failed map releases the pin on return.
-  PinnedId derived = cluster_->Record(new_id, {{}, parent_id, map, op_name});
+  PinnedId derived = cluster_->Record(new_id, {{}, parent_id, map});
   for (const auto& worker : cluster_->workers()) {
-    HV_RETURN_IF_ERROR(worker->ApplyMap(parent_id, new_id, map, op_name));
+    HV_RETURN_IF_ERROR(worker->ApplyMap(parent_id, new_id, map));
   }
   redo_log_.Append("map", parent_id + " -> " + new_id, 0);
   return derived;
@@ -38,17 +38,15 @@ SketchOptions RootSession::QueryOptions(uint64_t seed,
                                         bool partials) const {
   SketchOptions options;
   options.seed = seed;
-  options.rpc = cluster_->options().rpc;
   options.cancellation = std::move(token);
   options.partials = partials;
-  options.session_id = session_id_;
   return options;
 }
 
 DataSetPtr RootSession::GetRootDataSet(const std::string& dataset_id,
+                                       const std::vector<int>& partitions,
                                        bool tolerant) {
   const std::vector<WorkerPtr>& workers = cluster_->workers();
-  const std::vector<int> partitions = cluster_->Partitions(dataset_id);
   std::vector<DataSetPtr> children;
   children.reserve(workers.size());
   for (size_t w = 0; w < workers.size(); ++w) {
@@ -58,15 +56,16 @@ DataSetPtr RootSession::GetRootDataSet(const std::string& dataset_id,
     // mode. Its merge weight is the root's record, never a question to a
     // worker that may have restarted.
     children.push_back(std::make_shared<RemoteDataSet>(
-        workers[w], dataset_id, cluster_->network(), static_cast<int>(w),
-        &cluster_->health(), partitions.empty() ? -1 : partitions[w]));
+        workers[w], static_cast<int>(w), dataset_id, partitions[w],
+        cluster_->network(), cluster_->health(), cluster_->options().rpc,
+        session_id_));
   }
   ParallelDataSet::Options aggregation = cluster_->options().aggregation;
   aggregation.tolerate_child_failures = tolerant;
   // The root aggregation node; children recurse into the workers' own
   // parallel trees (nullptr pool: remote children schedule on worker pools).
-  return std::make_shared<ParallelDataSet>(
-      "root/" + dataset_id, std::move(children), nullptr, aggregation);
+  return std::make_shared<ParallelDataSet>(std::move(children), nullptr,
+                                           aggregation);
 }
 
 CancellationTokenPtr RootSession::BeginRender(const std::string& view_id) {
@@ -105,13 +104,21 @@ class RootSession::Query : public std::enable_shared_from_this<Query> {
         token_(std::move(token)),
         partials_(partials),
         flight_key_(std::move(flight_key)),
-        pin_(cluster_->Pin(dataset_id_)) {}
+        pin_(cluster_->Pin(dataset_id_)),
+        partitions_(cluster_->Partitions(dataset_id_)) {}
 
   /// Runs on the caller's thread, which admission may block; returns once
   /// the first attempt is under way or the query has settled.
   void Start() EXCLUDES(mutex_) {
     session_->redo_log_.Append("sketch", dataset_id_ + "#" + sketch_.name(),
                                seed_);
+    if (partitions_.empty()) {
+      // No lineage (never loaded, or released): no heal can build the id,
+      // and a tree without partition weights would pass an empty merge off
+      // as full coverage.
+      Settle(Status::Unavailable("no dataset '" + dataset_id_ + "'"));
+      return;
+    }
     Result<QueryScheduler::Grant> grant =
         cluster_->scheduler().Admit(session_->session_id_, token_);
     if (!grant.ok()) {  // shed, or superseded while queued: never runs
@@ -151,7 +158,7 @@ class RootSession::Query : public std::enable_shared_from_this<Query> {
       tolerant = degraded_pass_ || cluster_->health().AnyOpen();
     }
     auto attempt =
-        session_->GetRootDataSet(dataset_id_, tolerant)
+        session_->GetRootDataSet(dataset_id_, partitions_, tolerant)
             ->RunSketch(sketch_,
                         session_->QueryOptions(seed_, token_, partials_));
     auto self = shared_from_this();
@@ -261,6 +268,9 @@ class RootSession::Query : public std::enable_shared_from_this<Query> {
   QueryScheduler::Grant grant_ GUARDED_BY(mutex_);
   /// Keeps a derived id (and its lineage, which heals it) until Settle.
   PinnedId pin_ GUARDED_BY(mutex_);
+  /// The id's partitions per worker, read once it is pinned: every
+  /// attempt's merge weights. Empty for an id without lineage.
+  const std::vector<int> partitions_;
   uint64_t bytes_up_before_ GUARDED_BY(mutex_) = 0;
   bool degraded_pass_ GUARDED_BY(mutex_) = false;
   double shown_progress_ GUARDED_BY(mutex_) = 0.0;

@@ -19,8 +19,9 @@ namespace cluster {
 /// Cluster::OpenSession): the per-user slice of the root node. The session
 /// owns only genuinely per-user state — its redo log (the text record of
 /// ITS exploration, §5.7), its render generations, and its session id
-/// (threaded through SketchOptions into the SimulatedNetwork for per-tenant
-/// byte accounting). Workers, the health tracker, the shared
+/// (built into each query's RPC edges, which charge their bytes to it in the
+/// SimulatedNetwork for per-tenant accounting). Workers, the health tracker,
+/// the shared
 /// ComputationCache, the fair scheduler and the lineage that heals lost
 /// datasets live on the Cluster and are shared by all sessions.
 ///
@@ -42,7 +43,9 @@ namespace cluster {
 ///    pass that merges over the survivors and reports the coverage instead
 ///    of an error. While any breaker is open, every attempt is degraded from
 ///    its start. A retried attempt's partials reach the caller only once
-///    they catch up with the progress already shown.
+///    they catch up with the progress already shown. An id without lineage
+///    (never loaded, or released) settles Unavailable before any request,
+///    grant or heal.
 ///
 /// Cancellation contract: BeginRender(view) starts a new render generation
 /// for a view and supersedes the previous one — the old generation's token
@@ -169,16 +172,19 @@ class RootSession : public std::enable_shared_from_this<RootSession> {
       const std::string& dataset_id, AnySketch sketch, uint64_t seed,
       CancellationTokenPtr token);
 
-  /// The SketchOptions every query of this session runs with: its seed,
-  /// cancellation token, session id and whether its caller reads partials,
-  /// plus the deployment's RpcPolicy.
+  /// The SketchOptions every node of a query's tree reads: its seed,
+  /// cancellation token and whether its caller reads partials. What only
+  /// the RPC edges read (the deployment's RpcPolicy, this session's id) is
+  /// built into them by GetRootDataSet.
   SketchOptions QueryOptions(uint64_t seed, CancellationTokenPtr token,
                              bool partials) const;
 
   /// The root execution tree for a dataset: a ParallelDataSet over one
-  /// RemoteDataSet per worker. `tolerant` completes the merge over the
+  /// RemoteDataSet per worker, weighted by `partitions` (the root's record,
+  /// one count per worker). `tolerant` completes the merge over the
   /// survivors when workers fail (degraded mode).
-  DataSetPtr GetRootDataSet(const std::string& dataset_id, bool tolerant);
+  DataSetPtr GetRootDataSet(const std::string& dataset_id,
+                            const std::vector<int>& partitions, bool tolerant);
 
   struct RenderState {
     int generation = 0;

@@ -3,37 +3,45 @@
 namespace hillview {
 namespace cluster {
 
-void Worker::RegisterBase(
-    const std::string& dataset_id,
-    std::vector<std::shared_ptr<LocalDataSet>> partitions) {
-  std::vector<DataSetPtr> children(partitions.begin(), partitions.end());
-  auto dataset = std::make_shared<ParallelDataSet>(
-      name_ + "/" + dataset_id, std::move(children), &pool_, aggregation_);
+void Worker::Put(const std::string& dataset_id,
+                 std::vector<std::shared_ptr<LocalDataSet>> leaves) {
+  std::vector<DataSetPtr> children(leaves.begin(), leaves.end());
+  Partitions& partitions = datasets_[dataset_id];
+  partitions.tree = std::make_shared<ParallelDataSet>(std::move(children),
+                                                      &pool_, aggregation_);
+  partitions.leaves = std::move(leaves);
+}
+
+void Worker::RegisterBase(const std::string& dataset_id,
+                          std::vector<LocalDataSet::Loader> loaders) {
+  std::vector<std::shared_ptr<LocalDataSet>> leaves;
+  leaves.reserve(loaders.size());
+  for (auto& loader : loaders) {
+    leaves.push_back(LocalDataSet::FromLoader(std::move(loader)));
+  }
   MutexLock lock(mutex_);
-  datasets_[dataset_id] = std::move(dataset);
+  Put(dataset_id, std::move(leaves));
 }
 
 Status Worker::ApplyMap(const std::string& parent_id,
-                        const std::string& new_id, TableMap map,
-                        const std::string& op_name) {
-  DataSetPtr parent;
-  {
-    MutexLock lock(mutex_);
-    auto it = datasets_.find(parent_id);
-    if (it == datasets_.end()) {
-      return Status::Unavailable("worker " + name_ + ": no dataset '" +
-                                 parent_id + "'");
-    }
-    parent = it->second;
-  }
-  DataSetPtr derived = parent->Map(std::move(map), op_name);
+                        const std::string& new_id, const TableMap& map) {
   MutexLock lock(mutex_);
-  datasets_[new_id] = std::move(derived);
+  auto it = datasets_.find(parent_id);
+  if (it == datasets_.end()) {
+    return Status::Unavailable("worker " + name_ + ": no dataset '" +
+                               parent_id + "'");
+  }
+  std::vector<std::shared_ptr<LocalDataSet>> leaves;
+  leaves.reserve(it->second.leaves.size());
+  for (const auto& parent : it->second.leaves) {
+    leaves.push_back(parent->Map(map));
+  }
+  Put(new_id, std::move(leaves));
   return Status::OK();
 }
 
 void Worker::Drop(const std::string& dataset_id) {
-  DataSetPtr dropped;  // freed after the unlock
+  Partitions dropped;  // freed after the unlock
   MutexLock lock(mutex_);
   auto it = datasets_.find(dataset_id);
   if (it == datasets_.end()) return;
@@ -48,7 +56,7 @@ Result<DataSetPtr> Worker::GetDataSet(const std::string& dataset_id) {
     return Status::Unavailable("worker " + name_ + ": no dataset '" +
                                dataset_id + "'");
   }
-  return it->second;
+  return it->second.tree;
 }
 
 void Worker::Restart() {
@@ -67,7 +75,9 @@ void Worker::EvictCaches() {
   // them (which would otherwise pin freed tables' key vectors uselessly).
   key_cache_.Clear();
   MutexLock lock(mutex_);
-  for (auto& [id, dataset] : datasets_) dataset->Evict();
+  for (auto& [id, partitions] : datasets_) {
+    for (auto& leaf : partitions.leaves) leaf->Evict();
+  }
 }
 
 int64_t Worker::restart_count() const {

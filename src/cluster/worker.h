@@ -15,7 +15,10 @@ namespace hillview {
 namespace cluster {
 
 /// One simulated worker server: hosts micropartition leaf datasets behind a
-/// private thread pool (its "cores"). Workers are stateless in the paper's
+/// private thread pool (its "cores"). The worker owns its partitions: per
+/// dataset id it keeps the typed LocalDataSet leaves, which it alone maps
+/// (ApplyMap) and evicts (EvictCaches), and the ParallelDataSet fan-out over
+/// them that queries run (GetDataSet). Workers are stateless in the paper's
 /// sense (§5.8): everything they hold is soft state reconstructible from the
 /// root's lineage record (Cluster::Heal), and Restart() models a
 /// crash-restart by dropping all of it.
@@ -57,21 +60,21 @@ class Worker {
   /// renders, degraded completions) cannot outlive what they touch.
   void Drain() { pool_.Wait(); }
 
-  /// Registers the worker's share of a base (repository-backed) dataset.
-  /// Partitions are micropartitions (§5.3); each becomes a leaf on this
-  /// worker's pool, whose data loads lazily from its loader. Cluster::Heal
-  /// calls it only where the id is missing, so a live dataset is never
-  /// swapped.
+  /// Registers the worker's share of a base (repository-backed) dataset,
+  /// one loader per partition. Partitions are micropartitions (§5.3); each
+  /// becomes a leaf on this worker's pool, whose data loads lazily from its
+  /// loader. Cluster::Heal calls it only where the id is missing, so a live
+  /// dataset is never swapped.
   void RegisterBase(const std::string& dataset_id,
-                    std::vector<std::shared_ptr<LocalDataSet>> partitions)
+                    std::vector<LocalDataSet::Loader> loaders)
       EXCLUDES(mutex_);
 
-  /// Derives `new_id` from `parent_id` by a per-partition map (§5.6),
-  /// replacing any dataset under `new_id`. The result is lazy soft state.
-  /// Fails with Unavailable if the parent is gone (e.g. after a restart);
-  /// Cluster::Heal rebuilds the parent from its lineage first.
+  /// Derives `new_id` from `parent_id` by mapping each of its partitions
+  /// (§5.6), replacing any dataset under `new_id`. The result is lazy soft
+  /// state. Fails with Unavailable if the parent is gone (e.g. after a
+  /// restart); Cluster::Heal rebuilds the parent from its lineage first.
   Status ApplyMap(const std::string& parent_id, const std::string& new_id,
-                  TableMap map, const std::string& op_name) EXCLUDES(mutex_);
+                  const TableMap& map) EXCLUDES(mutex_);
 
   /// Drops `dataset_id` from this worker and leaves every other id in place:
   /// Cluster calls it when a derived id's last pin goes. Partition tasks
@@ -79,7 +82,8 @@ class Worker {
   /// finishes and frees its tables when it ends. A missing id is a no-op.
   void Drop(const std::string& dataset_id) EXCLUDES(mutex_);
 
-  /// The worker-local dataset tree for `dataset_id`, or Unavailable.
+  /// The worker-local dataset tree for `dataset_id` (a ParallelDataSet whose
+  /// children are its LocalDataSet partitions), or Unavailable.
   Result<DataSetPtr> GetDataSet(const std::string& dataset_id)
       EXCLUDES(mutex_);
 
@@ -89,7 +93,8 @@ class Worker {
   void Restart() EXCLUDES(mutex_);
 
   /// Drops only materialized tables, keeping the dataset structure: the
-  /// memory-manager eviction path (§5.7), distinct from a crash.
+  /// memory-manager eviction path (§5.7), distinct from a crash. A derived
+  /// partition re-runs its map on next access.
   void EvictCaches() EXCLUDES(mutex_);
 
   int64_t restart_count() const EXCLUDES(mutex_);
@@ -102,12 +107,22 @@ class Worker {
   int64_t corrupt_messages_dropped() const EXCLUDES(mutex_);
 
  private:
+  /// One dataset id's partitions on this worker and the fan-out over them.
+  struct Partitions {
+    std::vector<std::shared_ptr<LocalDataSet>> leaves;
+    DataSetPtr tree;
+  };
+
+  /// Registers `leaves` under `dataset_id`, replacing what was there.
+  void Put(const std::string& dataset_id,
+           std::vector<std::shared_ptr<LocalDataSet>> leaves) REQUIRES(mutex_);
+
   std::string name_;
   SortKeyCache key_cache_;
   ThreadPool pool_;
   ParallelDataSet::Options aggregation_;
   mutable Mutex mutex_;
-  std::map<std::string, DataSetPtr> datasets_ GUARDED_BY(mutex_);
+  std::map<std::string, Partitions> datasets_ GUARDED_BY(mutex_);
   int64_t restart_count_ GUARDED_BY(mutex_) = 0;
   int64_t corrupt_messages_dropped_ GUARDED_BY(mutex_) = 0;
 };

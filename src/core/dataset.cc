@@ -6,27 +6,12 @@
 
 namespace hillview {
 
-std::shared_ptr<LocalDataSet> LocalDataSet::FromLoader(std::string id,
-                                                       Loader loader) {
-  return std::shared_ptr<LocalDataSet>(
-      new LocalDataSet(std::move(id), std::move(loader)));
+std::shared_ptr<LocalDataSet> LocalDataSet::FromLoader(Loader loader) {
+  return std::shared_ptr<LocalDataSet>(new LocalDataSet(std::move(loader)));
 }
 
-std::shared_ptr<LocalDataSet> LocalDataSet::FromTable(std::string id,
-                                                      TablePtr table) {
-  return FromLoader(std::move(id),
-                    [table]() -> Result<TablePtr> { return table; });
-}
-
-std::shared_ptr<LocalDataSet> LocalDataSet::FromColumnarFile(
-    std::string id, std::string path, StorageBackend backend,
-    ReadOptions options) {
-  return FromLoader(
-      std::move(id),
-      [path = std::move(path), backend,
-       options = std::move(options)]() -> Result<TablePtr> {
-        return OpenTableFile(path, backend, options);
-      });
+std::shared_ptr<LocalDataSet> LocalDataSet::FromTable(TablePtr table) {
+  return FromLoader([table]() -> Result<TablePtr> { return table; });
 }
 
 Result<TablePtr> LocalDataSet::GetTable() {
@@ -62,8 +47,10 @@ Result<AnySummary> LocalDataSet::Summarize(const AnySketch& sketch,
   HV_ASSIGN_OR_RETURN(TablePtr table, GetTable());
   AnySummary summary = sketch.Summarize(
       *table, options.seed,
-      SketchContext{/*aux_pool=*/options.aux_pool,
-                    /*key_cache=*/options.key_cache, /*cancellation=*/cancel});
+      SketchContext{
+          /*aux_pool=*/options.aux_pool ? options.aux_pool() : nullptr,
+          /*key_cache=*/options.key_cache ? options.key_cache() : nullptr,
+          /*cancellation=*/cancel});
   if (cancel != nullptr && cancel->IsCancelled()) {
     // Superseded mid-scan: the morsel fan-out may have abandoned ranges, so
     // the summary can be incomplete and must not be emitted where a merger
@@ -84,38 +71,22 @@ StreamPtr<PartialResult<AnySummary>> LocalDataSet::RunSketch(
   return stream;
 }
 
-DataSetPtr LocalDataSet::Map(TableMap map, const std::string& op_name) {
-  auto parent = shared_from_this();
-  return FromLoader(id_ + "/" + op_name, [parent, map]() -> Result<TablePtr> {
+std::shared_ptr<LocalDataSet> LocalDataSet::Map(TableMap map) {
+  return FromLoader([parent = shared_from_this(),
+                     map = std::move(map)]() -> Result<TablePtr> {
     HV_ASSIGN_OR_RETURN(TablePtr table, parent->GetTable());
     return map(table);
   });
 }
 
-ParallelDataSet::ParallelDataSet(std::string id,
-                                 std::vector<DataSetPtr> children,
+ParallelDataSet::ParallelDataSet(std::vector<DataSetPtr> children,
                                  ThreadPool* pool, Options options)
-    : id_(std::move(id)),
-      children_(std::move(children)),
-      pool_(pool),
-      options_(options) {}
+    : children_(std::move(children)), pool_(pool), options_(options) {}
 
 int ParallelDataSet::NumPartitions() const {
   int n = 0;
   for (const auto& child : children_) n += child->NumPartitions();
   return n;
-}
-
-void ParallelDataSet::Evict() {
-  for (auto& child : children_) child->Evict();
-}
-
-DataSetPtr ParallelDataSet::Map(TableMap map, const std::string& op_name) {
-  std::vector<DataSetPtr> mapped;
-  mapped.reserve(children_.size());
-  for (auto& child : children_) mapped.push_back(child->Map(map, op_name));
-  return std::make_shared<ParallelDataSet>(id_ + "/" + op_name,
-                                           std::move(mapped), pool_, options_);
 }
 
 namespace {

@@ -9,7 +9,6 @@
 
 #include "core/any_sketch.h"
 #include "reactive/observable.h"
-#include "storage/columnar_file.h"
 #include "storage/table.h"
 #include "util/random.h"
 #include "util/thread_annotations.h"
@@ -25,7 +24,10 @@ using DataSetPtr = std::shared_ptr<IDataSet>;
 /// recomputed by re-running the map after eviction or worker restarts.
 using TableMap = std::function<Result<TablePtr>(const TablePtr&)>;
 
-/// Options controlling one sketch execution.
+/// Options controlling one sketch execution: what every node of the tree
+/// reads, copied into each child's options. What only the machine-boundary
+/// edge reads (its retry policy, the session charged for its bytes) is built
+/// into that edge instead (cluster::RemoteDataSet).
 struct SketchOptions {
   /// Root seed; each partition gets MixSeed(seed, partition position). The
   /// seed is recorded in the redo log so replays are deterministic (§5.8).
@@ -43,10 +45,6 @@ struct SketchOptions {
   /// sends one frame. A merger emits partials only when both this and its
   /// own Options::progressive allow them.
   bool partials = true;
-  /// Owning session, threaded down to the simulated network so per-session
-  /// byte counters make bandwidth fairness observable across tenants
-  /// (cluster::RootSession fills it in; -1 = untagged single-session use).
-  int session_id = -1;
   /// Worker-local pool provider for intra-partition parallelism, forwarded
   /// to sketches via SketchContext (cluster::RemoteDataSet injects the
   /// receiving worker's own pool). May be empty; sketches then run their
@@ -56,39 +54,22 @@ struct SketchOptions {
   /// (cluster::RemoteDataSet injects the receiving worker's cache). May be
   /// empty; order-based sketches then rebuild keys per scan.
   std::function<SortKeyCache*()> key_cache;
-  /// Deadline/retry policy applied at machine-boundary edges of the
-  /// execution tree (cluster::RemoteDataSet; in-process nodes ignore it).
-  /// Plain data here so core stays cluster-agnostic. Retrying is safe
-  /// because sketches are pure functions of (data, seed): re-running one is
-  /// idempotent, and merging a duplicate summary is harmless.
-  struct RpcPolicy {
-    /// Per-attempt deadline: a leaf that produced no final summary within
-    /// this window completes kDeadlineExceeded. 0 disables deadlines.
-    double deadline_ms = 0.0;
-    /// Retries per RPC after the first attempt (kDeadlineExceeded only).
-    int max_retries = 0;
-    /// Capped exponential backoff between attempts: attempt n sleeps
-    /// min(cap, base * 2^(n-1)), scaled by deterministic seeded jitter.
-    double backoff_base_ms = 1.0;
-    double backoff_cap_ms = 50.0;
-  };
-  RpcPolicy rpc;
 };
 
 /// A distributed dataset: the Partitioned Data Set abstraction from Sketch
-/// [14] that Hillview builds on (§5.7). Concrete shapes: a single partition
-/// (LocalDataSet), a fan-out over children (ParallelDataSet), or a proxy to
-/// another machine (cluster::RemoteDataSet).
+/// [14] that Hillview builds on (§5.7), reduced to what the execution tree
+/// runs: a sketch over its partitions, and how many there are. Concrete
+/// shapes: a single partition (LocalDataSet), a fan-out over children
+/// (ParallelDataSet), or a proxy to another machine (cluster::RemoteDataSet).
 ///
 /// All data reachable from a dataset is soft state: partitions may be
 /// evicted at any time and are reconstructed on demand from their loaders
-/// (reload from a repository) or by re-running maps (§5.7).
+/// (reload from a repository) or by re-running maps (§5.7). Whoever holds
+/// the partitions (a cluster::Worker) maps and evicts them; the tree only
+/// reads them.
 class IDataSet {
  public:
   virtual ~IDataSet() = default;
-
-  /// Stable identity used in computation-cache keys and the redo log.
-  virtual const std::string& id() const = 0;
 
   /// Runs a sketch over every partition, merging summaries toward this node
   /// and streaming monotone partial results (§5.3). The returned stream
@@ -97,16 +78,8 @@ class IDataSet {
   virtual StreamPtr<PartialResult<AnySummary>> RunSketch(
       const AnySketch& sketch, const SketchOptions& options) = 0;
 
-  /// Derives a new dataset by applying `map` to every partition, lazily:
-  /// partitions materialize on first access and may be evicted (§5.6).
-  virtual DataSetPtr Map(TableMap map, const std::string& op_name) = 0;
-
-  /// Number of leaf partitions below this node.
+  /// Number of leaf partitions below this node: its weight in a merge.
   virtual int NumPartitions() const = 0;
-
-  /// Drops all cached/materialized soft state below this node (memory
-  /// manager + fault injection). Data reloads on next access.
-  virtual void Evict() = 0;
 };
 
 /// Exposes a type-erased partial-result stream as a typed one, forwarding
@@ -171,34 +144,24 @@ class LocalDataSet final : public IDataSet,
   using Loader = std::function<Result<TablePtr>()>;
 
   /// Dataset backed by a loader (e.g. read a file); contents are soft.
-  static std::shared_ptr<LocalDataSet> FromLoader(std::string id,
-                                                  Loader loader);
+  static std::shared_ptr<LocalDataSet> FromLoader(Loader loader);
 
   /// Dataset pinned to an in-memory table (tests, generators). Eviction is a
   /// no-op since the loader just returns the same table.
-  static std::shared_ptr<LocalDataSet> FromTable(std::string id,
-                                                 TablePtr table);
-
-  /// Dataset whose partition lives in an HVCF columnar file, opened through
-  /// the chosen storage backend (§5.4's repository path). With the mmap
-  /// backend, eviction drops only the column views — the kernel's page cache
-  /// keeps whatever stays hot, so a reload after Evict() costs no read at
-  /// all for resident pages. `options` (column subset, heap-read throttling)
-  /// is forwarded to the open.
-  static std::shared_ptr<LocalDataSet> FromColumnarFile(
-      std::string id, std::string path, StorageBackend backend,
-      ReadOptions options = {});
-
-  const std::string& id() const override { return id_; }
+  static std::shared_ptr<LocalDataSet> FromTable(TablePtr table);
 
   StreamPtr<PartialResult<AnySummary>> RunSketch(
       const AnySketch& sketch, const SketchOptions& options) override;
 
-  DataSetPtr Map(TableMap map, const std::string& op_name) override;
-
   int NumPartitions() const override { return 1; }
 
-  void Evict() override;
+  /// Derives a partition by applying `map` to this one, lazily: it
+  /// materializes on first access and may be evicted (§5.6). The derived
+  /// partition keeps this one alive and reads it through GetTable().
+  std::shared_ptr<LocalDataSet> Map(TableMap map);
+
+  /// Drops the materialized table; the loader runs again on next access.
+  void Evict() EXCLUDES(mutex_);
 
   /// Materializes (or returns the cached) partition table.
   Result<TablePtr> GetTable() EXCLUDES(mutex_);
@@ -206,7 +169,9 @@ class LocalDataSet final : public IDataSet,
   /// This partition's summary: cancellation is checked before the table
   /// loads and again after the scan, and a cancelled scan returns
   /// Cancelled rather than a summary that may cover part of the partition.
-  /// RunSketch and ParallelDataSet's pool tasks both run it.
+  /// RunSketch and ParallelDataSet's pool tasks both run it. The options'
+  /// aux_pool and key_cache providers are resolved once, here, into the
+  /// SketchContext's plain pointers.
   Result<AnySummary> Summarize(const AnySketch& sketch,
                                const SketchOptions& options);
 
@@ -217,10 +182,8 @@ class LocalDataSet final : public IDataSet,
   int load_count() const EXCLUDES(mutex_);
 
  private:
-  LocalDataSet(std::string id, Loader loader)
-      : id_(std::move(id)), loader_(std::move(loader)) {}
+  explicit LocalDataSet(Loader loader) : loader_(std::move(loader)) {}
 
-  std::string id_;
   Loader loader_;
   mutable Mutex mutex_;
   TablePtr cached_ GUARDED_BY(mutex_);
@@ -252,28 +215,20 @@ class ParallelDataSet final : public IDataSet {
     bool tolerate_child_failures = false;
   };
 
-  ParallelDataSet(std::string id, std::vector<DataSetPtr> children,
-                  ThreadPool* pool)
-      : ParallelDataSet(std::move(id), std::move(children), pool, Options{}) {}
+  ParallelDataSet(std::vector<DataSetPtr> children, ThreadPool* pool)
+      : ParallelDataSet(std::move(children), pool, Options{}) {}
 
-  ParallelDataSet(std::string id, std::vector<DataSetPtr> children,
-                  ThreadPool* pool, Options options);
-
-  const std::string& id() const override { return id_; }
+  ParallelDataSet(std::vector<DataSetPtr> children, ThreadPool* pool,
+                  Options options);
 
   StreamPtr<PartialResult<AnySummary>> RunSketch(
       const AnySketch& sketch, const SketchOptions& options) override;
 
-  DataSetPtr Map(TableMap map, const std::string& op_name) override;
-
   int NumPartitions() const override;
-
-  void Evict() override;
 
   const std::vector<DataSetPtr>& children() const { return children_; }
 
  private:
-  std::string id_;
   std::vector<DataSetPtr> children_;
   ThreadPool* pool_;
   Options options_;

@@ -164,11 +164,10 @@ FindResult FindTextSketch::Summarize(const Table& table, uint64_t seed,
   std::vector<const uint32_t*> codes(cols.size());
   for (size_t i = 0; i < cols.size(); ++i) {
     const auto& dict = cols[i]->Dictionary();
-    // Only ask the provider for the pool when the dictionary is big enough
-    // to chunk; a smaller one matches inline on the calling thread.
-    ThreadPool* pool = dict.size() >= kParallelDictionaryThreshold &&
-                               context.aux_pool
-                           ? context.aux_pool()
+    // Only a dictionary big enough to chunk uses the pool; a smaller one
+    // matches inline on the calling thread.
+    ThreadPool* pool = dict.size() >= kParallelDictionaryThreshold
+                           ? context.aux_pool
                            : nullptr;
     dict_match[i] = MatchDictionary(matcher, dict, pool);
     codes[i] = cols[i]->RawCodes();

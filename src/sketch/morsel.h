@@ -67,8 +67,7 @@ bool MorselCancelled(const SketchContext& context);
 template <typename R>
 R SummarizeWithMorsels(const Sketch<R>& sketch, const Table& table,
                        uint64_t seed, const SketchContext& context) {
-  ThreadPool* pool = nullptr;
-  if (sketch.MorselMergeExact() && context.aux_pool) pool = context.aux_pool();
+  ThreadPool* pool = sketch.MorselMergeExact() ? context.aux_pool : nullptr;
   const IMembershipSet& members = *table.members();
   const uint32_t morsel_rows = MorselMinRows();
   if (pool == nullptr || pool->num_threads() < 1 ||
@@ -82,9 +81,8 @@ R SummarizeWithMorsels(const Sketch<R>& sketch, const Table& table,
   // already owns the pool's parallelism, and a nested fan-out would only
   // re-split the same rows. The key cache stays available, and so is the
   // cancellation token — each morsel is a poll point.
-  SketchContext inner;
-  inner.key_cache = context.key_cache;
-  inner.cancellation = context.cancellation;
+  SketchContext inner = context;
+  inner.aux_pool = nullptr;
 
   std::vector<R> parts(ranges.size());
   ParallelApply(pool, static_cast<int>(ranges.size()), [&](int i) {

@@ -306,9 +306,8 @@ NextItemsResult NextItemsSketch::Summarize(const Table& table, uint64_t seed,
 
   const size_t slots = TopKSlots(k_, table.num_rows());
   TopKRows top(slots);
-  SortKeyCache* cache = context.key_cache ? context.key_cache() : nullptr;
   if (std::optional<SortKeyPlan> plan =
-          KeyedPlan(cache, table, order_, table.num_rows())) {
+          KeyedPlan(context.key_cache, table, order_, table.num_rows())) {
     TopKKeyed visitor(table, order_, *plan, start_key_, k_, slots, &top);
     ScanArray(plan->keys().data(), *table.members(), visitor);
     result.rows_before = visitor.rows_before();

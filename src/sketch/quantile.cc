@@ -516,9 +516,8 @@ QuantileResult QuantileSketch::Summarize(const Table& table, uint64_t seed,
   // A low-rate scroll-bar sample of a huge partition sorts faster through
   // the virtual comparator than it could ever amortize a cold key build;
   // keys resident in the worker's sort-key cache are free (KeyedPlan).
-  SortKeyCache* cache = context.key_cache ? context.key_cache() : nullptr;
   if (std::optional<SortKeyPlan> plan =
-          KeyedPlan(cache, table, order_, rows.size())) {
+          KeyedPlan(context.key_cache, table, order_, rows.size())) {
     // Devirtualized path: sort (normalized key, row) pairs — a plain
     // integer sort when the key order is total; ties (multi-column orders,
     // inexact packed components) fall back to the virtual comparator within

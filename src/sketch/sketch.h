@@ -1,7 +1,6 @@
 #ifndef HILLVIEW_SKETCH_SKETCH_H_
 #define HILLVIEW_SKETCH_SKETCH_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -15,14 +14,14 @@ class ThreadPool;
 class SortKeyCache;
 
 /// Optional worker-local resources handed to a sketch execution by the
-/// engine. `aux_pool` provides the pool for intra-partition parallelism
-/// (morsels, find-text matching a huge dictionary). On a worker it is the
-/// same pool that runs Summarize itself; fanning out on it cannot deadlock
-/// because ParallelApply's caller works through the items alongside the
-/// pool's threads and never waits for queue capacity (util/thread_pool.h).
-/// `key_cache` provides the worker-resident sort-key cache so order-based
+/// engine. `aux_pool` is the pool for intra-partition parallelism (morsels,
+/// find-text matching a huge dictionary). On a worker it is the same pool
+/// that runs Summarize itself; fanning out on it cannot deadlock because
+/// ParallelApply's caller works through the items alongside the pool's
+/// threads and never waits for queue capacity (util/thread_pool.h).
+/// `key_cache` is the worker-resident sort-key cache, so order-based
 /// sketches reuse materialized key columns across repeated scrolls of the
-/// same view. Either may be empty (single-threaded callers: tests, benches,
+/// same view. Either may be null (single-threaded callers: tests, benches,
 /// standalone examples); sketches then work inline / rebuild keys per scan.
 ///
 /// `cancellation` carries the render's cancellation token down to the morsel
@@ -32,8 +31,8 @@ class SortKeyCache;
 /// cancellation discards it (the leaf completes Cancelled instead of
 /// emitting). May be null.
 struct SketchContext {
-  std::function<ThreadPool*()> aux_pool;
-  std::function<SortKeyCache*()> key_cache;
+  ThreadPool* aux_pool = nullptr;
+  SortKeyCache* key_cache = nullptr;
   CancellationTokenPtr cancellation;
 };
 

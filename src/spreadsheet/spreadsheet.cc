@@ -10,12 +10,19 @@ namespace hillview {
 namespace {
 
 /// Stable operation names for derived datasets; they appear in dataset ids,
-/// the redo log, and computation-cache keys. %.17g prints each bound
-/// exactly, so distinct bounds never share an id.
+/// the redo log, and computation-cache keys, so distinct operations must
+/// never share a name. %.17g prints each bound exactly.
 std::string RangeOpName(const std::string& column, double lo, double hi) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "[%.17g,%.17g]", lo, hi);
   return "filter-range(" + column + buf + ")";
+}
+
+/// A string operand of an operation name, length-prefixed so the name reads
+/// back one way only: without it, FilterEquals("a", "b=c") and
+/// FilterEquals("a=b", "c") would both name "filter-eq(a=b=c)".
+std::string Operand(const std::string& text) {
+  return std::to_string(text.size()) + ":" + text;
 }
 
 }  // namespace
@@ -299,7 +306,8 @@ Result<Spreadsheet> Spreadsheet::FilterEquals(const std::string& column,
   HV_ASSIGN_OR_RETURN(
       cluster::PinnedId view,
       session_->MapDataSet(dataset_id(), std::move(map),
-                           "filter-eq(" + column + "=" + value + ")"));
+                           "filter-eq(" + Operand(column) + "=" +
+                               Operand(value) + ")"));
   return Spreadsheet(session_, std::move(view), screen_);
 }
 
@@ -326,8 +334,8 @@ Result<Spreadsheet> Spreadsheet::FilterMatches(const std::string& column,
   HV_ASSIGN_OR_RETURN(
       cluster::PinnedId view,
       session_->MapDataSet(dataset_id(), std::move(map),
-                           "filter-match(" + column + "~" +
-                               filter.ToString() + ")"));
+                           "filter-match(" + Operand(column) + "~" +
+                               Operand(filter.ToString()) + ")"));
   return Spreadsheet(session_, std::move(view), screen_);
 }
 

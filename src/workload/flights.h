@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/dataset.h"
+#include "storage/columnar_file.h"
 #include "storage/table.h"
 
 namespace hillview {

@@ -81,11 +81,55 @@ TEST(Cluster, MapThenSketch) {
   EXPECT_NEAR(count.value().rows, 2500, 300);
 }
 
+// An id without lineage, never loaded or released, has nothing a heal could
+// rebuild and no partition weights a degraded merge could report coverage
+// by: its queries settle Unavailable before any request or heal, blocking
+// or streamed, and also when a breaker is open and the first attempt would
+// already be degraded.
 TEST(Cluster, UnknownDatasetIsUnavailable) {
-  auto tc = TestCluster::Create({MakeDoubleTable("x", {1.0})}, 1, 1);
-  auto result = tc->root->RunSketch<CountResult>(
-      "nope", std::make_shared<CountSketch>());
-  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+  auto tc = TestCluster::Create(
+      {MakeDoubleTable("x", {1.0}), MakeDoubleTable("x", {2.0})}, 2, 1);
+  std::string released;
+  {
+    auto derived = tc->root->MapDataSet(
+        "data", [](const TablePtr& t) -> Result<TablePtr> { return t; },
+        "all");
+    ASSERT_TRUE(derived.ok());
+    released = derived.value().id();
+    ASSERT_TRUE(tc->root->RunSketch<CountResult>(
+                            released, std::make_shared<CountSketch>())
+                    .ok());
+  }
+  ASSERT_TRUE(tc->cluster->Partitions(released).empty());
+
+  for (bool breaker_open : {false, true}) {
+    if (breaker_open) {
+      for (int i = 0; i < cluster::WorkerHealth::Options{}.failure_threshold;
+           ++i) {
+        tc->cluster->health().RecordFailure(1);
+      }
+      ASSERT_TRUE(tc->cluster->health().AnyOpen());
+    }
+    for (const std::string& id : {std::string("nope"), released}) {
+      SCOPED_TRACE(id + (breaker_open ? ", breaker open" : ""));
+      const uint64_t down = tc->network.messages_down();
+      const int64_t heals = tc->root->redo_log().Snapshot().replays_started;
+      RootSession::QueryStats stats;
+      auto result = tc->root->RunSketch<CountResult>(
+          id, std::make_shared<CountSketch>(), /*seed=*/0,
+          /*cacheable=*/false, &stats);
+      EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+      EXPECT_EQ(stats.replay_heals, 0);
+
+      auto stream = tc->root->RunSketchStream<CountResult>(
+          id, std::make_shared<CountSketch>());
+      EXPECT_FALSE(stream->BlockingLast().has_value());
+      EXPECT_EQ(stream->final_status().code(), StatusCode::kUnavailable);
+
+      EXPECT_EQ(tc->network.messages_down(), down);
+      EXPECT_EQ(tc->root->redo_log().Snapshot().replays_started, heals);
+    }
+  }
 }
 
 TEST(Cluster, WorkerRestartHealsViaRedoLogReplay) {
@@ -348,39 +392,6 @@ TEST(Cluster, RetriedStreamProgressIsMonotone) {
     EXPECT_LE(progress[i - 1], progress[i]) << "partial " << i;
   }
   EXPECT_EQ(progress.back(), 1.0);
-}
-
-TEST(Cluster, FailedRemoteMapSurfacesOnFirstUseAndHeals) {
-  auto values = UniformDoubles(8000, 0, 1, 93);
-  std::vector<TablePtr> partitions;
-  for (const auto& chunk : SplitValues(values, 4)) {
-    partitions.push_back(MakeDoubleTable("x", chunk));
-  }
-  auto tc = TestCluster::Create(partitions, 2, 2);
-
-  // Crash worker 0 first: a fire-and-forget remote map (the machine-boundary
-  // Map edge) cannot find its parent there, yet still returns a proxy.
-  tc->root->RestartWorker(0);
-  cluster::RemoteDataSet remote(tc->workers[0], "data", &tc->network);
-  DataSetPtr derived = remote.Map(
-      [](const TablePtr& t) -> Result<TablePtr> {
-        return t->Filter(
-            [t](uint32_t r) { return t->column(0)->GetDouble(r) < 0.5; });
-      },
-      "lower");
-  ASSERT_NE(derived, nullptr);
-
-  // First use of the derived proxy surfaces the failed map.
-  auto broken = SketchAndWait<CountResult>(*derived,
-                                           std::make_shared<CountSketch>());
-  ASSERT_FALSE(broken.ok());
-  EXPECT_EQ(broken.status().code(), StatusCode::kUnavailable);
-
-  // The root-session path heals the lost base data from its lineage.
-  auto count = tc->root->RunSketch<CountResult>(
-      "data", std::make_shared<CountSketch>());
-  ASSERT_TRUE(count.ok()) << count.status().ToString();
-  EXPECT_EQ(count.value().rows, static_cast<int64_t>(values.size()));
 }
 
 // Satellite of the fault-injection PR: a repeated-crash ladder. A *different*
@@ -726,6 +737,42 @@ TEST(Cluster, EvictionIsTransparent) {
                                              std::make_shared<CountSketch>());
   ASSERT_TRUE(c2.ok());
   EXPECT_EQ(c1.value().rows, c2.value().rows);
+}
+
+// Eviction of a derived view drops its materialized partitions on every
+// worker; the next query re-runs the view's map once per partition and
+// answers as before.
+TEST(Cluster, EvictionRerunsDerivedMapsOnEveryPartition) {
+  auto values = UniformDoubles(4000, 0, 1, 89);
+  std::vector<TablePtr> partitions;
+  for (const auto& chunk : SplitValues(values, 6)) {
+    partitions.push_back(MakeDoubleTable("x", chunk));
+  }
+  auto tc = TestCluster::Create(partitions, 3, 2);
+  std::atomic<int> maps{0};
+  auto derived = tc->root->MapDataSet(
+      "data",
+      [&maps](const TablePtr& t) -> Result<TablePtr> {
+        maps.fetch_add(1);
+        return t->Filter(
+            [t](uint32_t r) { return t->column(0)->GetDouble(r) < 0.3; });
+      },
+      "lower");
+  ASSERT_TRUE(derived.ok());
+  auto sketch = std::make_shared<StreamingHistogramSketch>(
+      "x", Buckets(NumericBuckets(0, 1, 10)));
+  auto before =
+      tc->root->RunSketch<HistogramResult>(derived.value().id(), sketch);
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(maps.load(), 6);
+
+  for (auto& w : tc->workers) w->EvictCaches();
+  auto after =
+      tc->root->RunSketch<HistogramResult>(derived.value().id(), sketch);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(maps.load(), 12);
+  EXPECT_EQ(after.value().counts, before.value().counts);
+  EXPECT_EQ(tc->root->redo_log().Snapshot().replays_started, 0);
 }
 
 TEST(Cluster, ProgressiveStreamDeliversPartials) {

@@ -203,15 +203,13 @@ TEST(ConcurrencyStress, ParallelDataSetProgressiveStreaming) {
     std::vector<DataSetPtr> children;
     constexpr int kParts = 12;
     for (int i = 0; i < kParts; ++i) {
-      children.push_back(LocalDataSet::FromTable(
-          "part" + std::to_string(i),
-          MakeDoubleTable("x", UniformDoubles(200, 0, 1,
-                                              static_cast<uint64_t>(i)))));
+      children.push_back(LocalDataSet::FromTable(MakeDoubleTable(
+          "x", UniformDoubles(200, 0, 1, static_cast<uint64_t>(i)))));
     }
     ParallelDataSet::Options options;
     options.aggregation_window_ms = (round % 2 == 0) ? 0.0 : 1.0;
     options.progressive = true;
-    ParallelDataSet parallel("root", std::move(children), &pool, options);
+    ParallelDataSet parallel(std::move(children), &pool, options);
 
     auto stream =
         RunTypedSketch<CountResult>(parallel, std::make_shared<CountSketch>());

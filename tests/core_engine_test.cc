@@ -21,16 +21,15 @@ std::shared_ptr<ParallelDataSet> MakeParallel(
     ParallelDataSet::Options options = {}) {
   std::vector<DataSetPtr> children;
   for (size_t i = 0; i < chunks.size(); ++i) {
-    children.push_back(LocalDataSet::FromTable(
-        "part" + std::to_string(i), MakeDoubleTable("x", chunks[i])));
+    children.push_back(
+        LocalDataSet::FromTable(MakeDoubleTable("x", chunks[i])));
   }
-  return std::make_shared<ParallelDataSet>("test", std::move(children), pool,
-                                           options);
+  return std::make_shared<ParallelDataSet>(std::move(children), pool, options);
 }
 
 TEST(LocalDataSet, LoaderRunsOnceAndCaches) {
   std::atomic<int> loads{0};
-  auto ds = LocalDataSet::FromLoader("d", [&loads]() -> Result<TablePtr> {
+  auto ds = LocalDataSet::FromLoader([&loads]() -> Result<TablePtr> {
     loads.fetch_add(1);
     return MakeDoubleTable("x", {1, 2, 3});
   });
@@ -43,7 +42,7 @@ TEST(LocalDataSet, LoaderRunsOnceAndCaches) {
 
 TEST(LocalDataSet, EvictionForcesReload) {
   std::atomic<int> loads{0};
-  auto ds = LocalDataSet::FromLoader("d", [&loads]() -> Result<TablePtr> {
+  auto ds = LocalDataSet::FromLoader([&loads]() -> Result<TablePtr> {
     loads.fetch_add(1);
     return MakeDoubleTable("x", {1});
   });
@@ -57,14 +56,14 @@ TEST(LocalDataSet, EvictionForcesReload) {
 
 TEST(LocalDataSet, LoaderErrorPropagates) {
   auto ds = LocalDataSet::FromLoader(
-      "d", []() -> Result<TablePtr> { return Status::IoError("gone"); });
+      []() -> Result<TablePtr> { return Status::IoError("gone"); });
   auto sketch = std::make_shared<CountSketch>();
   auto result = SketchAndWait<CountResult>(*ds, sketch);
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
 }
 
 TEST(LocalDataSet, SketchProducesSingleFinalResult) {
-  auto ds = LocalDataSet::FromTable("d", MakeDoubleTable("x", {1, 2, 3}));
+  auto ds = LocalDataSet::FromTable(MakeDoubleTable("x", {1, 2, 3}));
   auto result = SketchAndWait<CountResult>(*ds, std::make_shared<CountSketch>());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().rows, 3);
@@ -72,15 +71,12 @@ TEST(LocalDataSet, SketchProducesSingleFinalResult) {
 
 TEST(LocalDataSet, MapIsLazyAndReconstructible) {
   std::atomic<int> maps{0};
-  auto base = LocalDataSet::FromTable("d", MakeDoubleTable("x", {1, 2, 3, 4}));
-  auto derived = base->Map(
-      [&maps](const TablePtr& t) -> Result<TablePtr> {
-        maps.fetch_add(1);
-        return t->Filter([&](uint32_t r) {
-          return t->column(0)->GetDouble(r) > 2;
-        });
-      },
-      "gt2");
+  auto base = LocalDataSet::FromTable(MakeDoubleTable("x", {1, 2, 3, 4}));
+  auto derived = base->Map([&maps](const TablePtr& t) -> Result<TablePtr> {
+    maps.fetch_add(1);
+    return t->Filter(
+        [&](uint32_t r) { return t->column(0)->GetDouble(r) > 2; });
+  });
   EXPECT_EQ(maps.load(), 0);  // not yet materialized
   auto result =
       SketchAndWait<CountResult>(*derived, std::make_shared<CountSketch>());
@@ -113,7 +109,7 @@ TEST(ParallelDataSet, SketchEqualsSequentialMerge) {
 
 TEST(ParallelDataSet, EmptyChildrenYieldZero) {
   ThreadPool pool(2);
-  ParallelDataSet empty("empty", {}, &pool);
+  ParallelDataSet empty({}, &pool);
   auto result = SketchAndWait<CountResult>(
       empty, std::make_shared<CountSketch>());
   ASSERT_TRUE(result.ok());
@@ -205,36 +201,17 @@ TEST(ParallelDataSet, NestedTreeComputesCorrectly) {
   for (int g = 0; g < 2; ++g) {
     std::vector<DataSetPtr> leaves;
     for (int i = 0; i < 4; ++i) {
-      leaves.push_back(LocalDataSet::FromTable(
-          "leaf", MakeDoubleTable("x", chunks[g * 4 + i])));
+      leaves.push_back(
+          LocalDataSet::FromTable(MakeDoubleTable("x", chunks[g * 4 + i])));
     }
-    mid.push_back(std::make_shared<ParallelDataSet>(
-        "agg" + std::to_string(g), std::move(leaves), &pool));
+    mid.push_back(std::make_shared<ParallelDataSet>(std::move(leaves), &pool));
   }
-  ParallelDataSet root("root", std::move(mid), nullptr);
+  ParallelDataSet root(std::move(mid), nullptr);
   auto result =
       SketchAndWait<CountResult>(root, std::make_shared<CountSketch>());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().rows, 8000);
   EXPECT_EQ(root.NumPartitions(), 8);
-}
-
-TEST(ParallelDataSet, MapAppliesToAllPartitions) {
-  auto chunks = SplitValues(UniformDoubles(1000, 0, 1, 77), 4);
-  ThreadPool pool(2);
-  auto parallel = MakeParallel(chunks, &pool);
-  auto derived = parallel->Map(
-      [](const TablePtr& t) -> Result<TablePtr> {
-        return t->Filter([t](uint32_t r) {
-          return t->column(0)->GetDouble(r) < 0.5;
-        });
-      },
-      "lt-half");
-  auto result =
-      SketchAndWait<CountResult>(*derived, std::make_shared<CountSketch>());
-  ASSERT_TRUE(result.ok());
-  EXPECT_NEAR(result.value().rows, 500, 80);
-  EXPECT_EQ(derived->id(), "test/lt-half");
 }
 
 TEST(ParallelDataSet, DeterministicSeedsAcrossRuns) {

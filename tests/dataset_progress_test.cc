@@ -22,8 +22,6 @@ class ScriptedDataSet final : public IDataSet {
   explicit ScriptedDataSet(std::vector<PartialResult<AnySummary>> script)
       : script_(std::move(script)) {}
 
-  const std::string& id() const override { return id_; }
-
   StreamPtr<PartialResult<AnySummary>> RunSketch(
       const AnySketch& sketch, const SketchOptions& options) override {
     (void)sketch;
@@ -34,17 +32,9 @@ class ScriptedDataSet final : public IDataSet {
     return stream;
   }
 
-  DataSetPtr Map(TableMap map, const std::string& op_name) override {
-    (void)map;
-    (void)op_name;
-    return nullptr;
-  }
-
   int NumPartitions() const override { return 1; }
-  void Evict() override {}
 
  private:
-  std::string id_ = "scripted";
   std::vector<PartialResult<AnySummary>> script_;
 };
 
@@ -123,13 +113,12 @@ TEST(RunTypedSketch, ProgressIsMonotoneAndReachesOne) {
   std::vector<DataSetPtr> children;
   for (int i = 0; i < 8; ++i) {
     children.push_back(LocalDataSet::FromTable(
-        "part" + std::to_string(i),
         testing::MakeDoubleTable("x", testing::UniformDoubles(100, 0, 1, i))));
   }
   ParallelDataSet::Options options;
   options.aggregation_window_ms = 0.0;
   options.progressive = true;
-  ParallelDataSet parallel("root", std::move(children), &pool, options);
+  ParallelDataSet parallel(std::move(children), &pool, options);
 
   auto stream =
       RunTypedSketch<CountResult>(parallel, std::make_shared<CountSketch>());

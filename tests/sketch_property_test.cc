@@ -1031,7 +1031,7 @@ void RunMorselByteIdentity(
   MorselRowsGuard guard(/*rows=*/64);
   ThreadPool pool(4);
   SketchContext fanned;
-  fanned.aux_pool = [&pool]() { return &pool; };
+  fanned.aux_pool = &pool;
   for (int c = 0; c < cases; ++c) {
     const uint64_t seed = MixSeed(name_hash, static_cast<uint64_t>(c));
     Random rng(seed);

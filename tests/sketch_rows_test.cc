@@ -420,7 +420,7 @@ TEST(NextItems, KeyedTopKMatchesBruteForce) {
   const int kPageSizes[] = {1, 2, 20, static_cast<int>(kOracleRows) + 1};
   SortKeyCache cache;
   SketchContext with_cache;
-  with_cache.key_cache = [&cache] { return &cache; };
+  with_cache.key_cache = &cache;
   int pages = 0;
   for (const auto& [columns, shape] : orders) {
     // Directions: all ascending, all descending, and alternating both ways.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <numeric>
+#include <utility>
 
 #include "spreadsheet/spreadsheet.h"
 #include "storage/columnar_file.h"
@@ -38,6 +40,38 @@ class SpreadsheetTest : public ::testing::Test {
     delete network_;
     delete workers_;
     sheet_ = nullptr;
+  }
+
+  /// Views `id`, loaded as one partition of the string columns `first` and
+  /// `second` holding `rows`.
+  static Spreadsheet LoadStringPairs(
+      const std::string& id, const std::string& first,
+      const std::string& second,
+      const std::vector<std::pair<std::string, std::string>>& rows) {
+    ColumnBuilder a(DataKind::kString);
+    ColumnBuilder b(DataKind::kString);
+    for (const auto& [x, y] : rows) {
+      a.AppendString(x);
+      b.AppendString(y);
+    }
+    TablePtr table = Table::Create(
+        Schema({{first, DataKind::kString}, {second, DataKind::kString}}),
+        {a.Finish(), b.Finish()});
+    EXPECT_TRUE(session_
+                    ->LoadDataSet(id, {[table]() -> Result<TablePtr> {
+                                    return table;
+                                  }})
+                    .ok());
+    return Spreadsheet(session_, id, {400, 200});
+  }
+
+  /// Rows an exact histogram of `column` counts in `view`.
+  static int64_t HistogramTotal(Spreadsheet& view, const std::string& column) {
+    auto histogram = view.Histogram(column, /*exact=*/true);
+    EXPECT_TRUE(histogram.ok()) << histogram.status().ToString();
+    if (!histogram.ok()) return -1;
+    const auto& counts = histogram.value().counts;
+    return std::accumulate(counts.begin(), counts.end(), int64_t{0});
   }
 
   static std::vector<cluster::WorkerPtr>* workers_;
@@ -321,6 +355,50 @@ TEST_F(SpreadsheetTest, FilterRangeBoundsBeyondSixDigitsStayDistinct) {
   auto all = above.value().RowCount();
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all.value(), 80000);
+}
+
+// Equality filters whose column and value differ only in where '=' falls
+// are different views: each counts its own rows, and deriving the second
+// leaves the first one's lineage and data alone.
+TEST_F(SpreadsheetTest, FilterEqualsOperandsStayDistinct) {
+  Spreadsheet sheet = LoadStringPairs("eq-operands", "a", "a=b",
+                                      {{"b=c", "x"}, {"y", "c"}, {"z", "c"}});
+  auto first = sheet.FilterEquals("a", "b=c");
+  ASSERT_TRUE(first.ok());
+  auto first_rows = first.value().RowCount();
+  ASSERT_TRUE(first_rows.ok());
+  EXPECT_EQ(first_rows.value(), 1);
+  auto second = sheet.FilterEquals("a=b", "c");
+  ASSERT_TRUE(second.ok());
+  EXPECT_NE(second.value().dataset_id(), first.value().dataset_id());
+  auto second_rows = second.value().RowCount();
+  ASSERT_TRUE(second_rows.ok());
+  EXPECT_EQ(second_rows.value(), 2);
+  EXPECT_EQ(HistogramTotal(first.value(), "a"), 1);
+}
+
+// The same for text filters: the column "a~substring/ci:x" searched for "y"
+// and the column "a" searched for "x~substring/ci:y" are different views.
+TEST_F(SpreadsheetTest, FilterMatchesOperandsStayDistinct) {
+  Spreadsheet sheet =
+      LoadStringPairs("match-operands", "a", "a~substring/ci:x",
+                      {{"x~substring/ci:y", "p"}, {"q", "y"}, {"r", "y"}});
+  StringFilter in_a{"x~substring/ci:y", StringFilter::Mode::kSubstring,
+                    /*case_sensitive=*/false};
+  auto first = sheet.FilterMatches("a", in_a);
+  ASSERT_TRUE(first.ok());
+  auto first_rows = first.value().RowCount();
+  ASSERT_TRUE(first_rows.ok());
+  EXPECT_EQ(first_rows.value(), 1);
+  StringFilter in_other{"y", StringFilter::Mode::kSubstring,
+                        /*case_sensitive=*/false};
+  auto second = sheet.FilterMatches("a~substring/ci:x", in_other);
+  ASSERT_TRUE(second.ok());
+  EXPECT_NE(second.value().dataset_id(), first.value().dataset_id());
+  auto second_rows = second.value().RowCount();
+  ASSERT_TRUE(second_rows.ok());
+  EXPECT_EQ(second_rows.value(), 2);
+  EXPECT_EQ(HistogramTotal(first.value(), "a"), 1);
 }
 
 TEST_F(SpreadsheetTest, SaveAsRoundTrip) {
